@@ -13,7 +13,6 @@
 //	spidersim spans       — end-to-end span tracing: waterfall, critical paths, flame
 //	spidersim sweep       — deterministic parallel seed sweeps of E3/E13/E18/E19 with merged CIs
 //	spidersim scrub       — background scrub vs latent-corruption exposure (E19), off vs default
-//	spidersim shard       — sharded parallel fabric run with serial fingerprint cross-check
 //	spidersim session     — one-shot run of a service session spec (the cmd/spidersimd reference)
 //	spidersim ledger      — verify, replay, or extend an exported operations ledger
 package main
@@ -23,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -40,7 +38,6 @@ import (
 	"spiderfs/internal/raid"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/serve"
-	"spiderfs/internal/shard"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
 	"spiderfs/internal/stats"
@@ -106,8 +103,6 @@ func main() {
 		runSweep(*seed, *exp, *replicas, *workers)
 	case "scrub":
 		runScrub(*seed)
-	case "shard":
-		runShard(*seed, *workers, *full)
 	case "session":
 		runSession(*seed, *spec)
 	case "arch":
@@ -123,7 +118,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: spidersim <arch|layers|mixed|checkpoint|slowdisk|incident|purge|namespaces|workflow|fig3|fig4|recovery|chaos|spans|sweep|scrub|shard|session|ledger> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp e3|e13|e18|e19|all] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE]")
+	fmt.Fprintln(os.Stderr, "usage: spidersim <arch|layers|mixed|checkpoint|slowdisk|incident|purge|namespaces|workflow|fig3|fig4|recovery|chaos|spans|sweep|scrub|session|ledger> [-seed N] [-days N] [-full] [-scenario fig3|chaos] [-every N] [-out FILE] [-exp e3|e13|e18|e19|all] [-replicas N] [-workers N] [-spec JSON] [-ledger FILE]")
 	fmt.Fprintln(os.Stderr, "       spidersim ledger <verify|replay|append> -in FILE [...]")
 }
 
@@ -190,64 +185,6 @@ func runSweep(seed uint64, exp string, replicas, workers int) {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "sweep: unknown experiment %q (want e3, e13, e18, e19, or all)\n", exp)
 		os.Exit(2)
-	}
-}
-
-// runShard partitions the center into torus X-slab regions plus one
-// storage shard per SSU, drives the same deterministic congestion waves
-// through a serial (one-worker) and a parallel runner, and cross-checks
-// the event-trace fingerprints — the conservative-PDES determinism
-// contract, demonstrated end to end from the CLI.
-func runShard(seed uint64, workers int, full bool) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	regions, waves, flows := 3, 3, 512
-	ccfg := center.Config{Small: !full, Namespaces: 2, Seed: seed}
-	if full {
-		regions, flows = 8, 2048
-	}
-	c := center.New(ccfg)
-	plan := c.ShardPlan(regions)
-	if err := plan.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "shard:", err)
-		os.Exit(1)
-	}
-	fcfg := netsim.Spider2Fabric()
-	fcfg.Torus = c.Torus
-	fmt.Printf("sharded fabric partition: %d torus X-slab regions + %d SSU storage shards, %d routers, %d OSSes\n",
-		plan.Regions(), len(plan.StorageSpans), plan.Routers, plan.OSSes())
-
-	run := func(w int) (*shard.FabricSim, time.Duration) {
-		fs := shard.NewFabricSim(plan.FabricConfig(fcfg, w))
-		src := rng.New(seed)
-		t0 := time.Now()
-		for i := 0; i < waves; i++ {
-			fs.LaunchWave(src, flows, 32e6, fs.Runner.Horizon())
-			if st := fs.Runner.Run(); st != shard.Quiescent {
-				fmt.Fprintf(os.Stderr, "shard: run ended %v, want quiescent\n", st)
-				os.Exit(1)
-			}
-		}
-		return fs, time.Since(t0)
-	}
-	serial, serialWall := run(1)
-	fmt.Printf("serial     (1 worker):  fingerprint %016x, %d events, %d quanta, %d hand-offs, %d flows in %v\n",
-		serial.Runner.Fingerprint(), serial.Runner.Events(), serial.Runner.Quanta(),
-		serial.Runner.Merged(), serial.Completed(), serialWall.Round(time.Millisecond))
-	par, parWall := run(workers)
-	match := "IDENTICAL"
-	if par.Runner.Fingerprint() != serial.Runner.Fingerprint() {
-		match = "MISMATCH"
-	}
-	fmt.Printf("parallel   (%d workers): fingerprint %016x, %d events in %v — %s\n",
-		workers, par.Runner.Fingerprint(), par.Runner.Events(), parWall.Round(time.Millisecond), match)
-	if parWall > 0 {
-		fmt.Printf("speedup: %.2fx on %d CPUs (recorded, not gated: single-CPU hosts cannot speed up)\n",
-			float64(serialWall)/float64(parWall), runtime.NumCPU())
-	}
-	if match != "IDENTICAL" {
-		os.Exit(1)
 	}
 }
 

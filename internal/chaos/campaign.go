@@ -565,13 +565,15 @@ func (p *campaign) scheduleEnclosureLoss() {
 			// Repair: the enclosure's drive slot (member 1 of every group
 			// under the 10x1 layout) is restocked once crews swap the
 			// enclosure. Groups mid-rebuild on another member are picked up
-			// by a second sweep.
+			// by a second sweep. A group degraded only on some other
+			// member (member 1 already rebuilt) is not the enclosure's to
+			// restock.
 			member := 1
 			repair := func(tag string) func() {
 				return func() {
 					restocked := 0
 					for i, g := range groups {
-						if g.State() != raid.Degraded {
+						if g.State() != raid.Degraded || !g.Offline(member) {
 							continue
 						}
 						repl := disk.New(p.eng, 2_100_000+i, g.Disks()[member].Config(),

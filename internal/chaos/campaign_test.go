@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -189,5 +190,24 @@ func TestReportRendersAndRollsUp(t *testing.T) {
 	}
 	if len(r.Timeline) == 0 {
 		t.Fatal("no timeline entries recorded")
+	}
+}
+
+// The enclosure repair sweeps restock member 1 only where it is still
+// offline. These seeds degrade a group on another member after the
+// first sweep rebuilt member 1; restocking member 1 there would panic
+// with "raid: rebuilding an online member".
+func TestEnclosureRepairSkipsOnlineMember(t *testing.T) {
+	for _, seed := range []uint64{41, 64, 67} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("campaign panicked: %v", v)
+				}
+			}()
+			if r := Run(QuickConfig(seed)); r.Rebuilds == 0 {
+				t.Fatalf("seed %d: no rebuilds recorded", seed)
+			}
+		})
 	}
 }

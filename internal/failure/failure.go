@@ -137,9 +137,12 @@ func (in *Injector) injectOne() {
 		}
 		return
 	}
-	// Replace after the walk delay and rebuild.
+	// Replace after the walk delay and rebuild. A draw that landed on an
+	// already-offline member schedules a second replacement; if the
+	// first one (or an operator restock) has brought m back by then,
+	// there is nothing left to rebuild.
 	in.eng.After(in.cfg.ReplaceDelay, func() {
-		if g.State() == raid.Failed || in.stopped {
+		if g.State() == raid.Failed || in.stopped || !g.Offline(m) {
 			return
 		}
 		dcfg := g.Disks()[m].Config()

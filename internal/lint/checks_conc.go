@@ -8,27 +8,25 @@ import (
 	"strings"
 )
 
-// The concurrency checks below target the one place the repo allows
-// goroutines on the simulation side: the quantum worker pools in
-// internal/shard and internal/sweep (PR 5/7). Their safety argument is
-// shared-nothing execution — each worker touches only its own shard
-// slot, and cross-shard influence moves exclusively through
-// Shard.Send's outbox, merged serially at the barrier. A write from a
-// `go func` body to state captured from outside that goroutine is
-// exactly the bypass of that seam which turns a deterministic parallel
+// The concurrency checks below target the places the repo allows
+// goroutines on the simulation side. Their model is internal/sweep's
+// replica pool: shared-nothing execution, where each worker writes only
+// its own result slot and the merge never looks at completion order. A
+// write from a `go func` body to state captured from outside that
+// goroutine is exactly the bypass which turns a deterministic parallel
 // run into a racy one, so it is flagged statically, before the race
 // detector ever gets a chance to catch it probabilistically.
 
-// shardScoped reports whether p is one of the packages whose goroutine
-// discipline is the Send/outbox seam (internal/shard, internal/sweep)
-// or, for internal/serve, the session-confined worker seam: a service
+// shardScoped reports whether p is one of the packages whose worker
+// goroutines write only their own slot (internal/sweep) or, for
+// internal/serve, the session-confined worker seam: a service
 // goroutine may write only through its own session's lock or the
 // service mutex, so captured-state writes from go funclits are flagged
 // the same way. internal/ledger is scoped too: the hash chain admits
 // exactly one appender, so a goroutine mutating captured ledger state
 // bypasses the single-writer seam even when a mutex makes it race-free.
 func shardScoped(m *Module, p *Package) bool {
-	for _, s := range []string{"/internal/shard", "/internal/sweep", "/internal/serve", "/internal/ledger"} {
+	for _, s := range []string{"/internal/sweep", "/internal/serve", "/internal/ledger"} {
 		full := m.Path + s
 		if p.Path == full || strings.HasPrefix(p.Path, full+"/") {
 			return true
@@ -76,7 +74,7 @@ func goFuncWrites(p *Package, body *ast.BlockStmt) []capturedWrite {
 
 // bodyLocks reports whether the funclit body calls Lock/RLock from
 // package sync — the signal that the author is mediating shared access
-// with a mutex rather than the shard seam.
+// with a mutex rather than the own-slot discipline.
 func bodyLocks(p *Package, lit *ast.FuncLit) bool {
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -211,16 +209,15 @@ func indexIsLocal(p *Package, lit *ast.FuncLit, idx ast.Expr) bool {
 	return local && !captured
 }
 
-// checkShardIsolation enforces the Send/outbox seam inside the shard
-// and sweep worker pools: a goroutine there may write only its own
-// slot; every other cross-goroutine effect must be a Shard.Send merged
-// at the barrier. Even a mutex-guarded write is flagged — a lock makes
-// the write safe for the race detector but still couples shards in a
-// scheduler-dependent order, which is exactly what the conservative
-// window proof forbids.
+// checkShardIsolation enforces the own-slot rule inside the scoped
+// worker pools: a goroutine there may write only its own slot, and
+// results are combined after the pool joins, in index order. Even a
+// mutex-guarded write is flagged — a lock makes the write safe for the
+// race detector but still combines results in scheduler order, which
+// would let a parallel run's fingerprint diverge from the serial one.
 var checkShardIsolation = &Check{
 	Name: "shard-isolation",
-	Doc:  "goroutines in internal/shard and internal/sweep write only their own slot; cross-shard effects go through Send",
+	Doc:  "worker goroutines in internal/sweep (and serve, ledger) write only their own slot; results merge after the pool joins",
 	run: func(m *Module, p *Package) []Diagnostic {
 		if p.Info == nil || !shardScoped(m, p) {
 			return nil
@@ -237,7 +234,7 @@ var checkShardIsolation = &Check{
 						Check: "shard-isolation",
 						Pos:   m.Fset.Position(w.pos),
 						Message: fmt.Sprintf(
-							"goroutine writes %s, captured from outside its shard slot; route cross-shard effects through Shard.Send and the outbox barrier", w.target),
+							"goroutine writes %s, captured from outside its own slot; write only the worker's own result slot and merge after the pool joins", w.target),
 					})
 				}
 			}
@@ -250,8 +247,8 @@ var checkShardIsolation = &Check{
 // other internal/ package that launches a goroutine writing captured
 // state without taking a sync lock is a data race waiting for the race
 // detector to get lucky. Unlike shard-isolation this check accepts
-// mutex-mediated writes — outside the shard plane there is no window
-// proof to protect, only memory safety.
+// mutex-mediated writes — outside the scoped pools there is no
+// fingerprint identity to protect, only memory safety.
 var checkUnsyncedSharedWrite = &Check{
 	Name: "unsynced-shared-write",
 	Doc:  "goroutines in internal/ sim packages must not write captured state without sync mediation",

@@ -1,4 +1,4 @@
-//simlint:importpath spiderfs/internal/shard/fixture2
+//simlint:importpath spiderfs/internal/sweep/fixture2
 
 // Clean counterpart to shardiso: the sanctioned worker-pool shapes.
 // Each goroutine claims indices and writes only its own slot (the

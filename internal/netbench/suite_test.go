@@ -117,20 +117,6 @@ func TestSuiteQuickRun(t *testing.T) {
 	if s.Results[0].Name != "start_finish/map_baseline" || s.Results[1].Name != "start_finish/ordered" {
 		t.Fatalf("unexpected result names: %q, %q", s.Results[0].Name, s.Results[1].Name)
 	}
-	if s.Shard == nil {
-		t.Fatal("suite is missing its shard section")
-	}
-	if !s.Shard.Deterministic {
-		t.Fatalf("sharded runs diverged: %+v", s.Shard.Runs)
-	}
-	if len(s.Shard.Runs) != 4 || s.Shard.Runs[0].Workers != 1 {
-		t.Fatalf("shard runs %+v: want workers 1,2,4,8", s.Shard.Runs)
-	}
-	for _, r := range s.Shard.Runs {
-		if r.Fingerprint != s.Shard.Runs[0].Fingerprint {
-			t.Fatalf("workers=%d fingerprint %s != serial %s", r.Workers, r.Fingerprint, s.Shard.Runs[0].Fingerprint)
-		}
-	}
 	out, err := s.JSON()
 	if err != nil || len(out) == 0 {
 		t.Fatalf("JSON render failed: %v", err)

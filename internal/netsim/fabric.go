@@ -208,18 +208,16 @@ func (f *Fabric) geminiPath(dst []*Link, a, b topology.Coord) []*Link {
 	t := f.Cfg.Torus
 	cur := a
 	t.Walk(a, b, func(next topology.Coord) {
-		dst = append(dst, f.gem[t.Index(cur)][StepDir(t, cur, next)])
+		dst = append(dst, f.gem[t.Index(cur)][stepDir(t, cur, next)])
 		cur = next
 	})
 	return dst
 }
 
-// StepDir returns the torus link direction (0..5: +x,-x,+y,-y,+z,-z —
-// the per-node link ordering NewFabric and NewRegionFabric both build)
-// for the unit hop cur->next produced by Torus.Walk. It is the shared
-// seam between the monolithic fabric's path builder and the sharded
-// partition's cross-region path segmenter (internal/shard).
-func StepDir(t topology.Torus, cur, next topology.Coord) int {
+// stepDir returns the torus link direction (0..5: +x,-x,+y,-y,+z,-z —
+// the per-node link ordering NewFabric builds) for the unit hop
+// cur->next produced by Torus.Walk.
+func stepDir(t topology.Torus, cur, next topology.Coord) int {
 	switch {
 	case next.X != cur.X:
 		if (cur.X+1)%t.NX == next.X {

@@ -176,6 +176,10 @@ func (g *Group) State() State { return g.state }
 // Disks returns the member disks (monitoring/QA use).
 func (g *Group) Disks() []*disk.Disk { return g.dsks }
 
+// Offline reports whether member m is offline (failed or pulled and not
+// yet rebuilt or restored).
+func (g *Group) Offline(m int) bool { return g.offline[m] }
+
 // Capacity returns the user-visible LUN capacity in bytes.
 func (g *Group) Capacity() int64 {
 	perDisk := g.dsks[0].Config().Capacity

@@ -99,14 +99,6 @@ type netsimDoc struct {
 		Name        string  `json:"name"`
 		AllocsPerOp float64 `json:"allocs_per_op"`
 	} `json:"results"`
-	Shard *struct {
-		Runs []struct {
-			Workers     int    `json:"workers"`
-			Fingerprint string `json:"fingerprint"`
-		} `json:"runs"`
-		Deterministic bool    `json:"deterministic"`
-		Speedup       float64 `json:"speedup"`
-	} `json:"shard"`
 	AllocRatio float64 `json:"start_finish_alloc_ratio"`
 	Speedup    float64 `json:"start_finish_speedup"`
 }
@@ -141,42 +133,7 @@ func compareNetsim(artifact string, committed, fresh []byte) ([]Finding, error) 
 			}
 		}
 	}
-	out = append(out, compareShard(artifact, c, f)...)
 	return out, nil
-}
-
-// compareShard gates the sharded-engine section: the fresh run must
-// still carry the section, every worker count must have double-run to
-// one fingerprint (Deterministic), and every run's fingerprint must
-// equal the serial (workers=1) run's — exact equality, the parallel
-// correctness property. Speedup is recorded only: a single-CPU host
-// regenerating the artifact legitimately reports < 1.
-func compareShard(artifact string, c, f netsimDoc) []Finding {
-	if c.Shard == nil {
-		return nil
-	}
-	if f.Shard == nil {
-		return []Finding{{artifact, "shard-missing",
-			"committed artifact has a shard section but the fresh run does not"}}
-	}
-	var out []Finding
-	if !f.Shard.Deterministic {
-		out = append(out, Finding{artifact, "shard-deterministic",
-			"sharded double-runs diverged (serial vs parallel fingerprints differ)"})
-	}
-	if len(f.Shard.Runs) == 0 {
-		out = append(out, Finding{artifact, "shard-fingerprint", "shard section has no runs"})
-		return out
-	}
-	serial := f.Shard.Runs[0]
-	for _, r := range f.Shard.Runs[1:] {
-		if r.Fingerprint != serial.Fingerprint {
-			out = append(out, Finding{artifact, "shard-fingerprint",
-				fmt.Sprintf("workers=%d fingerprint %s != serial %s (exact identity required)",
-					r.Workers, r.Fingerprint, serial.Fingerprint)})
-		}
-	}
-	return out
 }
 
 type spantraceDoc struct {

@@ -79,8 +79,8 @@ func (h *eventHeap) Pop() any {
 // the determinism contract in DESIGN.md).
 //
 // Engine is not safe for concurrent use; all model code must run on the
-// goroutine driving Run/Step. Multi-engine harnesses (internal/shard)
-// confine each engine to one worker per synchronization quantum.
+// goroutine driving Run/Step. Parallel harnesses (internal/sweep) give
+// each worker its own engine and never share one across goroutines.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -140,8 +140,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of live events still scheduled. Canceled
 // tombstones awaiting lazy deletion are not counted, so Pending() == 0
-// means the engine truly has no work — the quiescence test multi-engine
-// barriers rely on ("this shard is idle").
+// means the engine truly has no work.
 func (e *Engine) Pending() int { return e.live }
 
 // reapFloor is the heap size below which tombstone reaping is not worth
@@ -221,8 +220,8 @@ func (e *Engine) After(d Time, fn func()) *Event {
 // completes. Pending events remain scheduled.
 //
 // Stop is sticky: the flag stays set until ClearStop is called, so a
-// Stop issued between runs (e.g. by a barrier controller between
-// synchronization quanta) makes the next Run/RunUntil return
+// Stop issued between runs (e.g. by a controller driving the engine in
+// RunUntil windows) makes the next Run/RunUntil return
 // immediately instead of being silently lost. Resuming therefore takes
 // an explicit ClearStop followed by Run/RunUntil.
 func (e *Engine) Stop() { e.stopped = true }

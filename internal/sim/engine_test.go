@@ -131,8 +131,8 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
-// A Stop issued before Run/RunUntil (e.g. by a barrier controller
-// between quanta) must not be silently lost.
+// A Stop issued before Run/RunUntil (e.g. by a controller between
+// RunUntil windows) must not be silently lost.
 func TestEngineStopStickyBeforeRun(t *testing.T) {
 	e := NewEngine()
 	fired := false
