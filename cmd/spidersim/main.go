@@ -153,7 +153,7 @@ func runSession(seed uint64, specJSON string) {
 
 // runSweep fans the standard seed sweeps across a worker pool and
 // prints each merged report — the same replica bodies and merge path
-// that `benchsuite -sweep` uses for BENCH_sweep.json, interactively.
+// that `benchsuite -suite sweep` uses for BENCH_sweep.json, interactively.
 func runSweep(seed uint64, exp string, replicas, workers int) {
 	short := map[string]string{"e3": "e3-slowdisk", "e13": "e13-purge", "e18": "e18-chaos", "e19": "e19-scrub"}
 	want := exp

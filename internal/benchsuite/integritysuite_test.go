@@ -2,6 +2,8 @@ package benchsuite
 
 import (
 	"testing"
+
+	"spiderfs/internal/regress"
 )
 
 // TestIntegritySuiteDeterministic runs the full E19 suite (the harness
@@ -14,45 +16,47 @@ func TestIntegritySuiteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Sweeps) != 3 {
-		t.Fatalf("%d sweeps, want e19 off/default/slow", len(a.Sweeps))
-	}
-	for _, r := range a.Sweeps {
-		if !r.Deterministic {
-			t.Errorf("%s: serial and parallel runs diverged", r.Label)
+	val := func(name string) float64 {
+		t.Helper()
+		r, ok := regress.Find(a, "integrity/"+name)
+		if !ok {
+			t.Fatalf("no record integrity/%s", name)
 		}
-		if r.Errors != 0 {
-			t.Errorf("%s: %d failed replicas", r.Label, r.Errors)
+		return r.Value
+	}
+	for _, label := range []string{"e19-scrub-off", "e19-scrub-default", "e19-scrub-slow"} {
+		if val(label+"/deterministic") != 1 {
+			t.Errorf("%s: serial and parallel runs diverged", label)
+		}
+		if n := val(label + "/errors"); n != 0 {
+			t.Errorf("%s: %v failed replicas", label, n)
 		}
 	}
-	if a.UndetectedAtDefault != 0 {
-		t.Fatalf("undetected at default interval = %v, want exactly 0", a.UndetectedAtDefault)
+	if v := val("undetected_reads_at_default"); v != 0 {
+		t.Fatalf("undetected at default interval = %v, want exactly 0", v)
 	}
-	if a.UndetectedNoScrub <= 0 {
-		t.Fatalf("no-scrub exposure baseline = %v, want positive", a.UndetectedNoScrub)
+	if v := val("undetected_reads_no_scrub"); v <= 0 {
+		t.Fatalf("no-scrub exposure baseline = %v, want positive", v)
 	}
-	if a.RebuildLatentNoScrub <= a.RebuildLatentDefault {
-		t.Fatalf("rebuild latent hits: no-scrub %v not above default %v",
-			a.RebuildLatentNoScrub, a.RebuildLatentDefault)
+	if off, def := val("rebuild_latent_hits_no_scrub"), val("rebuild_latent_hits_at_default"); off <= def {
+		t.Fatalf("rebuild latent hits: no-scrub %v not above default %v", off, def)
 	}
-	if a.ScrubOverheadFrac <= 0 || a.ScrubOverheadFrac > 0.25 {
-		t.Fatalf("scrub overhead = %v, want measurable and under the 0.25 gate ceiling", a.ScrubOverheadFrac)
+	if v := val("scrub_overhead_frac"); v <= 0 || v > 0.25 {
+		t.Fatalf("scrub overhead = %v, want measurable and under the 0.25 gate ceiling", v)
 	}
 	b, err := RunIntegritySuite(42, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Sweeps {
-		if a.Sweeps[i].Fingerprint != b.Sweeps[i].Fingerprint {
-			t.Errorf("%s: fingerprint differs across suite runs: %s vs %s",
-				a.Sweeps[i].Label, a.Sweeps[i].Fingerprint, b.Sweeps[i].Fingerprint)
+	for _, r := range a {
+		if r.Gate != regress.Exact {
+			continue
+		}
+		if rb, _ := regress.Find(b, r.Name); rb.Text != r.Text || rb.Value != r.Value {
+			t.Errorf("%s differs across suite runs: %+v vs %+v", r.Name, r, rb)
 		}
 	}
-	aj, err := a.JSON()
-	if err != nil {
+	if _, err := regress.Encode(a); err != nil {
 		t.Fatal(err)
-	}
-	if len(aj) == 0 || len(a.Render()) == 0 {
-		t.Fatal("empty artifact or render")
 	}
 }

@@ -5,68 +5,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"strings"
+	"slices"
 
 	"spiderfs/internal/chaos"
 	"spiderfs/internal/ledger"
+	"spiderfs/internal/regress"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 	"spiderfs/internal/spantrace"
 	"spiderfs/internal/sweep"
 )
 
-// LedgerBatch is one point of the anchoring batch-size sweep: a fixed
-// synthetic entry stream (one entry per simulated second, the density
-// of a busy campaign's monitor bursts) appended under one MaxBatch
-// setting. Entries/Anchors/Head are deterministic and exact-gated;
-// AppendNs and EntriesPerSec are wall-clock throughput, recorded only.
-type LedgerBatch struct {
-	MaxBatch      int     `json:"max_batch"`
-	Entries       int     `json:"entries"`
-	Anchors       int     `json:"anchors"`
-	Head          string  `json:"head"`
-	AppendNs      int64   `json:"append_ns"`
-	EntriesPerSec float64 `json:"entries_per_sec"`
-}
-
-// LedgerTamper is one adversarial case applied to the campaign export:
+// ledgerTamper is one adversarial case applied to the campaign export:
 // Detected records whether the auditor flagged it, Class the first
 // finding's class, and Epoch the offending epoch it identified.
-type LedgerTamper struct {
-	Name     string `json:"name"`
-	Detected bool   `json:"detected"`
-	Class    string `json:"class"`
-	Epoch    int    `json:"epoch"`
-}
-
-// LedgerSuite is the BENCH_ledger.json artifact: the quick chaos
-// campaign's anchored root sequence (double-run and traced-vs-untraced
-// identical, exact-gated), the auditor's adversarial scorecard, and the
-// batch-size sweep.
-type LedgerSuite struct {
-	Schema string `json:"schema"`
-	CPUs   int    `json:"cpus"`
-	Seed   uint64 `json:"seed"`
-
-	// Quick-campaign ledger identity, exact-gated by internal/regress.
-	CampaignEntries int      `json:"campaign_entries"`
-	CampaignAnchors int      `json:"campaign_anchors"`
-	CampaignDrops   int      `json:"campaign_drops"`
-	CampaignRoots   []string `json:"campaign_roots"`
-	CampaignHead    string   `json:"campaign_head"`
-	// Deterministic: two runs produced byte-identical exports.
-	// TracedIdentical: attaching the span tracer left every root
-	// untouched. AuditClean: the export audits with zero findings.
-	Deterministic   bool `json:"deterministic"`
-	TracedIdentical bool `json:"traced_identical"`
-	AuditClean      bool `json:"audit_clean"`
-
-	// Adversarial coverage: every tamper class must be detected.
-	TamperTotal     int            `json:"tamper_total"`
-	TampersDetected int            `json:"tampers_detected"`
-	Tampers         []LedgerTamper `json:"tampers"`
-
-	Batches []LedgerBatch `json:"batches"`
+type ledgerTamper struct {
+	Name     string
+	Detected bool
+	Class    string
+	Epoch    int
 }
 
 // batchSweepEntries is the synthetic stream length for the batch-size
@@ -74,18 +31,19 @@ type LedgerSuite struct {
 // epoch hours, so every MaxBatch point also crosses an epoch boundary.
 const batchSweepEntries = 8192
 
-// RunLedgerSuite builds the BENCH_ledger.json artifact. clock supplies
-// monotonic wall nanoseconds for the throughput numbers (nil records
-// zeros), exactly like sweep.RunSuite.
-func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
+// RunLedgerSuite builds the BENCH_ledger.json records: the quick chaos
+// campaign's anchored root sequence (double-run and traced-vs-untraced
+// identical, exact-gated), the auditor's adversarial scorecard, and the
+// anchoring batch-size sweep. The batch sweep appends a fixed synthetic
+// stream (one entry per simulated second, the density of a busy
+// campaign's monitor bursts) under each MaxBatch setting; its counts
+// and heads are exact-gated, its throughput recorded. clock supplies
+// monotonic wall nanoseconds for the throughput (nil records zeros),
+// exactly like sweep.RunSuite.
+func RunLedgerSuite(seed uint64, clock sweep.Clock) ([]regress.Record, error) {
 	now := func() int64 { return 0 }
 	if clock != nil {
 		now = clock
-	}
-	s := LedgerSuite{
-		Schema: "spiderfs-ledger-bench/1",
-		CPUs:   runtime.GOMAXPROCS(0),
-		Seed:   seed,
 	}
 
 	// Campaign identity: double run, then a traced run.
@@ -93,41 +51,51 @@ func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
 	r2 := chaos.Run(chaos.QuickConfig(seed))
 	b1, err := json.Marshal(r1.Ops)
 	if err != nil {
-		return s, fmt.Errorf("ledger suite: marshal export: %w", err)
+		return nil, fmt.Errorf("ledger suite: marshal export: %w", err)
 	}
 	b2, err := json.Marshal(r2.Ops)
 	if err != nil {
-		return s, fmt.Errorf("ledger suite: marshal export: %w", err)
+		return nil, fmt.Errorf("ledger suite: marshal export: %w", err)
 	}
-	s.CampaignEntries = r1.LedgerEntries
-	s.CampaignAnchors = r1.LedgerAnchors
-	s.CampaignDrops = r1.LedgerDrops
-	s.CampaignRoots = r1.LedgerRoots
-	s.CampaignHead = r1.LedgerHead
-	s.Deterministic = bytes.Equal(b1, b2)
-	s.AuditClean = len(ledger.Audit(r1.Ops)) == 0
-
 	traced := chaos.QuickConfig(seed)
 	traced.Tracer = spantrace.New(rng.New(seed^0x7ed9), 4)
 	r3 := chaos.Run(traced)
-	s.TracedIdentical = r3.LedgerHead == r1.LedgerHead &&
-		len(r3.LedgerRoots) == len(r1.LedgerRoots)
-	if s.TracedIdentical {
-		for i := range r1.LedgerRoots {
-			if r3.LedgerRoots[i] != r1.LedgerRoots[i] {
-				s.TracedIdentical = false
-				break
-			}
-		}
+	tracedIdentical := r3.LedgerHead == r1.LedgerHead && slices.Equal(r3.LedgerRoots, r1.LedgerRoots)
+
+	recs := []regress.Record{
+		{Name: "ledger/cpus", Value: float64(runtime.GOMAXPROCS(0)), Unit: "count", Gate: regress.Recorded},
+		{Name: "ledger/seed", Value: float64(seed), Gate: regress.Recorded},
+		{Name: "ledger/deterministic", Value: regress.Bool(bytes.Equal(b1, b2)), Gate: regress.Min, Bound: 1},
+		{Name: "ledger/traced_identical", Value: regress.Bool(tracedIdentical), Gate: regress.Min, Bound: 1},
+		{Name: "ledger/audit_clean", Value: regress.Bool(len(ledger.Audit(r1.Ops)) == 0), Gate: regress.Min, Bound: 1},
+		{Name: "ledger/entries", Value: float64(r1.LedgerEntries), Unit: "count", Gate: regress.Exact},
+		{Name: "ledger/anchors", Value: float64(r1.LedgerAnchors), Unit: "count", Gate: regress.Exact},
+		{Name: "ledger/drops", Value: float64(r1.LedgerDrops), Unit: "count", Gate: regress.Exact},
+		{Name: "ledger/head", Text: r1.LedgerHead, Gate: regress.Exact},
+		{Name: "ledger/roots", Value: float64(len(r1.LedgerRoots)), Unit: "count", Gate: regress.Exact},
+	}
+	for i, root := range r1.LedgerRoots {
+		recs = append(recs, regress.Record{Name: fmt.Sprintf("ledger/root/%03d", i), Text: root, Gate: regress.Exact})
 	}
 
-	s.Tampers = runTampers(r1.Ops)
-	s.TamperTotal = len(s.Tampers)
-	for _, t := range s.Tampers {
-		if t.Detected {
-			s.TampersDetected++
+	// Adversarial coverage: every tamper class must be detected, and the
+	// scorecard may not shrink.
+	tampers := runTampers(r1.Ops)
+	undetected := 0
+	for _, t := range tampers {
+		if !t.Detected {
+			undetected++
 		}
+		p := "ledger/tamper/" + t.Name + "/"
+		recs = append(recs,
+			regress.Record{Name: p + "detected", Value: regress.Bool(t.Detected), Gate: regress.Min, Bound: 1},
+			regress.Record{Name: p + "class", Text: t.Class, Gate: regress.Recorded},
+			regress.Record{Name: p + "epoch", Value: float64(t.Epoch), Gate: regress.Recorded})
 	}
+	n := float64(len(tampers))
+	recs = append(recs,
+		regress.Record{Name: "ledger/tampers", Value: n, Unit: "count", Gate: regress.Min, Bound: n},
+		regress.Record{Name: "ledger/tampers/undetected", Value: float64(undetected), Unit: "count", Gate: regress.Max})
 
 	for _, maxBatch := range []int{64, 256, 1024, 4096} {
 		l := ledger.New(ledger.Config{Epoch: sim.Hour, MaxBatch: maxBatch})
@@ -135,21 +103,24 @@ func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
 		for i := 0; i < batchSweepEntries; i++ {
 			if err := l.Append(sim.Time(i)*sim.Second,
 				fmt.Sprintf("oss%03d", i%97), "hardware", "synthetic-event", ""); err != nil {
-				return s, fmt.Errorf("ledger suite: batch %d: %w", maxBatch, err)
+				return nil, fmt.Errorf("ledger suite: batch %d: %w", maxBatch, err)
 			}
 		}
 		l.Close()
 		dt := now() - t0
-		p := LedgerBatch{
-			MaxBatch: maxBatch, Entries: l.Len(), Anchors: l.AnchorCount(),
-			Head: l.Head(), AppendNs: dt,
-		}
+		rate := 0.0
 		if dt > 0 {
-			p.EntriesPerSec = float64(l.Len()) / (float64(dt) / 1e9)
+			rate = float64(l.Len()) / (float64(dt) / 1e9)
 		}
-		s.Batches = append(s.Batches, p)
+		p := fmt.Sprintf("ledger/batch/%d/", maxBatch)
+		recs = append(recs,
+			regress.Record{Name: p + "entries", Value: float64(l.Len()), Unit: "count", Gate: regress.Exact},
+			regress.Record{Name: p + "anchors", Value: float64(l.AnchorCount()), Unit: "count", Gate: regress.Exact},
+			regress.Record{Name: p + "head", Text: l.Head(), Gate: regress.Exact},
+			regress.Record{Name: p + "append_ns", Value: float64(dt), Unit: "ns", Gate: regress.Recorded},
+			regress.Record{Name: p + "entries_per_sec", Value: rate, Unit: "1/s", Gate: regress.Recorded})
 	}
-	return s, nil
+	return recs, nil
 }
 
 // runTampers applies one instance of each tamper class the issue's
@@ -158,18 +129,18 @@ func RunLedgerSuite(seed uint64, clock sweep.Clock) (LedgerSuite, error) {
 // detects it. The forged-suffix case goes through the public Resume
 // API: the attacker's rewritten tail is internally consistent — every
 // hash recomputed — and only the trusted root sequence exposes it.
-func runTampers(exp *ledger.Export) []LedgerTamper {
+func runTampers(exp *ledger.Export) []ledgerTamper {
 	trusted := exp.RootRefs()
-	verdict := func(name string, t *ledger.Export) LedgerTamper {
+	verdict := func(name string, t *ledger.Export) ledgerTamper {
 		fs := ledger.AuditAgainst(t, trusted)
-		out := LedgerTamper{Name: name, Detected: len(fs) > 0, Epoch: -1}
+		out := ledgerTamper{Name: name, Detected: len(fs) > 0, Epoch: -1}
 		if len(fs) > 0 {
 			out.Class = fs[0].Class
 			out.Epoch = fs[0].Epoch
 		}
 		return out
 	}
-	var out []LedgerTamper
+	var out []ledgerTamper
 	mid := len(exp.Entries) / 2
 
 	t := cloneExport(exp)
@@ -202,7 +173,7 @@ func runTampers(exp *ledger.Export) []LedgerTamper {
 	t.Head = a.Hash
 	forged, err := ledger.Resume(t)
 	if err != nil {
-		out = append(out, LedgerTamper{Name: "forged-suffix", Detected: false, Epoch: -1,
+		out = append(out, ledgerTamper{Name: "forged-suffix", Detected: false, Epoch: -1,
 			Class: "resume-failed: " + err.Error()})
 		return out
 	}
@@ -220,33 +191,4 @@ func cloneExport(exp *ledger.Export) *ledger.Export {
 	c.Entries = append([]ledger.Entry(nil), exp.Entries...)
 	c.Anchors = append([]ledger.Anchor(nil), exp.Anchors...)
 	return &c
-}
-
-// Render formats the suite for stdout.
-func (s LedgerSuite) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ledger suite: quick campaign seed %d on %d CPU(s)\n", s.Seed, s.CPUs)
-	fmt.Fprintf(&b, "campaign ledger: %d entries, %d anchors (%d refused), head %.16s..\n",
-		s.CampaignEntries, s.CampaignAnchors, s.CampaignDrops, s.CampaignHead)
-	fmt.Fprintf(&b, "deterministic=%v traced-identical=%v audit-clean=%v\n",
-		s.Deterministic, s.TracedIdentical, s.AuditClean)
-	fmt.Fprintf(&b, "tamper detection: %d/%d classes caught\n", s.TampersDetected, s.TamperTotal)
-	for _, t := range s.Tampers {
-		fmt.Fprintf(&b, "  %-18s detected=%v as %s (epoch %d)\n", t.Name, t.Detected, t.Class, t.Epoch)
-	}
-	fmt.Fprintf(&b, "batch-size sweep (%d entries at 1/s simulated):\n", batchSweepEntries)
-	for _, p := range s.Batches {
-		fmt.Fprintf(&b, "  max_batch %-5d -> %4d anchors, head %.16s.., %.0f entries/s appended\n",
-			p.MaxBatch, p.Anchors, p.Head, p.EntriesPerSec)
-	}
-	return b.String()
-}
-
-// JSON renders the artifact.
-func (s LedgerSuite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }

@@ -1,9 +1,6 @@
 package benchsuite
 
-import (
-	"spiderfs/internal/serve"
-	"spiderfs/internal/sweep"
-)
+import "spiderfs/internal/sweep"
 
 // ServeCatalog is the sweep catalog the simulation service registers:
 // everything `spidersim sweep` can run, so a "sweep"-kind session names
@@ -12,13 +9,4 @@ import (
 // byte-identical for sweep specs.
 func ServeCatalog(seed uint64) []sweep.Entry {
 	return append(SweepEntries(seed), IntegrityEntries(seed)...)
-}
-
-// RunServeSuite runs the session-service benchmark: sessions/sec and
-// latency percentiles on the cold, warm-pool, and cache-hit paths, with
-// the cold-vs-warm fingerprint cross-check. clock supplies wall
-// nanoseconds (nil records zero timings, as the deterministic gates
-// only read the fingerprint fields).
-func RunServeSuite(clock func() int64) serve.Suite {
-	return serve.RunBench(clock)
 }

@@ -13,7 +13,7 @@ import (
 // E13 purge residency (§IV-C under stochastic production), and the E18
 // chaos campaign (§IV-D availability over many fault schedules). Each
 // replica is an independent full simulation seeded from the sweep
-// stream; `spidersim sweep` and `benchsuite -sweep` both drive exactly
+// stream; `spidersim sweep` and `benchsuite -suite sweep` both drive exactly
 // this list, and BENCH_sweep.json is its artifact.
 func SweepEntries(seed uint64) []sweep.Entry {
 	e3 := qa.DefaultElimination()
@@ -23,11 +23,4 @@ func SweepEntries(seed uint64) []sweep.Entry {
 		{Label: "e13-purge", Replicas: 16, Seed: seed, Body: purge.ResidencyReplica(purge.DefaultResidency())},
 		{Label: "e18-chaos", Replicas: 32, Seed: seed, Body: chaos.CampaignReplica(chaos.QuickConfig(0))},
 	}
-}
-
-// RunSweepSuite runs the standard sweeps through the double-run suite
-// harness. workers <= 0 uses GOMAXPROCS; clock supplies monotonic
-// nanoseconds for the serial-vs-parallel timing (nil records zeros).
-func RunSweepSuite(seed uint64, workers int, clock sweep.Clock) (sweep.Suite, error) {
-	return sweep.RunSuite(SweepEntries(seed), workers, clock)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"spiderfs/internal/regress"
 	"spiderfs/internal/sweep"
 )
 
@@ -21,37 +22,37 @@ func small(seed uint64) []sweep.Entry {
 // TestSweepSuiteDeterministic runs the real E3/E13/E18 replica bodies
 // through the suite harness, which itself double-runs each sweep
 // serially and in parallel and fails on any divergence. Then the whole
-// suite is run twice to check the rendered artifact is reproducible.
+// suite is run twice to check the artifact's fingerprints reproduce.
 func TestSweepSuiteDeterministic(t *testing.T) {
-	a, err := sweep.RunSuite(small(7), 4, nil)
+	a, err := sweep.RunSuite("sweep", small(7), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sweep.RunSuite(small(7), 2, nil)
+	b, err := sweep.RunSuite("sweep", small(7), 2, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(a.Sweeps) != 3 {
-		t.Fatalf("%d sweeps, want 3", len(a.Sweeps))
-	}
-	for i, r := range a.Sweeps {
-		if !r.Deterministic {
-			t.Errorf("%s: serial and parallel runs diverged", r.Label)
-		}
-		if r.Fingerprint != b.Sweeps[i].Fingerprint {
-			t.Errorf("%s: fingerprint differs across suite runs: %s vs %s",
-				r.Label, r.Fingerprint, b.Sweeps[i].Fingerprint)
-		}
-		if r.Errors != 0 {
-			t.Errorf("%s: %d failed replicas", r.Label, r.Errors)
-		}
-		if len(r.Metrics) == 0 {
-			t.Errorf("%s: no merged metrics", r.Label)
-		}
 	}
 	for _, label := range []string{"e3-slowdisk", "e13-purge", "e18-chaos"} {
-		if !strings.Contains(a.Render(), label) {
-			t.Errorf("render omits %s", label)
+		p := "sweep/" + label + "/"
+		if r, _ := regress.Find(a, p+"deterministic"); r.Value != 1 {
+			t.Errorf("%s: serial and parallel runs diverged", label)
+		}
+		fa, ok := regress.Find(a, p+"fingerprint")
+		fb, _ := regress.Find(b, p+"fingerprint")
+		if !ok || fa.Text != fb.Text {
+			t.Errorf("%s: fingerprint differs across suite runs: %s vs %s", label, fa.Text, fb.Text)
+		}
+		if r, _ := regress.Find(a, p+"errors"); r.Value != 0 {
+			t.Errorf("%s: %v failed replicas", label, r.Value)
+		}
+		means := 0
+		for _, r := range a {
+			if strings.HasPrefix(r.Name, p) && strings.HasSuffix(r.Name, "/mean") {
+				means++
+			}
+		}
+		if means == 0 {
+			t.Errorf("%s: no merged metrics", label)
 		}
 	}
 }

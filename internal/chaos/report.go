@@ -2,8 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
 
 	"spiderfs/internal/ledger"
@@ -150,17 +148,11 @@ func (r *Report) Kinds() []KindSummary {
 // Two runs of the same configuration must produce equal fingerprints —
 // the campaign-level determinism contract.
 func (r *Report) Fingerprint() uint64 {
-	h := fnv.New64a()
-	u := func(v uint64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
+	h := sim.NewHasher()
+	u := h.Word
 	i := func(v int) { u(uint64(int64(v))) }
 	t := func(v sim.Time) { u(uint64(v)) }
-	f := func(v float64) { u(math.Float64bits(v)) }
+	f := h.Float
 
 	u(r.Seed)
 	t(r.Window)
@@ -212,20 +204,20 @@ func (r *Report) Fingerprint() uint64 {
 	i(r.LedgerAnchors)
 	i(r.LedgerDrops)
 	for _, root := range r.LedgerRoots {
-		h.Write([]byte(root))
+		h.Text(root)
 	}
-	h.Write([]byte(r.LedgerHead))
+	h.Text(r.LedgerHead)
 	u(r.EventTrace)
 	u(r.TraceEvents)
 	for _, c := range r.Components {
-		h.Write([]byte(c.Name))
+		h.Text(c.Name)
 		i(c.Failures)
 		t(c.Downtime)
 	}
 	for _, s := range r.probeSamples {
 		f(s)
 	}
-	return h.Sum64()
+	return h.Sum()
 }
 
 // String renders the operator-facing campaign report.

@@ -2,7 +2,7 @@
 // copy of the map-based implementation it replaced, and drives a
 // Spider II-sized fabric (18,688 clients, 440 LNET routers, 288 OSSes)
 // through a congestion-heavy workload to record ns/flow-event at
-// production scale. Command benchsuite -netsim runs the suite and
+// production scale. Command benchsuite -suite netsim runs the suite and
 // emits BENCH_netsim.json.
 package netbench
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spiderfs/internal/netsim"
+	"spiderfs/internal/regress"
 	"spiderfs/internal/rng"
 	"spiderfs/internal/sim"
 )
@@ -107,21 +108,27 @@ func TestSuiteQuickRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed; skipped in -short")
 	}
-	s := Run(false)
-	if len(s.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(s.Results))
+	recs := Run(false)
+	for _, name := range []string{
+		"netsim/start_finish/map_baseline/allocs_per_op",
+		"netsim/start_finish/ordered/allocs_per_op",
+	} {
+		r, ok := regress.Find(recs, name)
+		if !ok || r.Gate != regress.Max || r.Bound != r.Value*1.25+1 {
+			t.Fatalf("%s: %+v (found %v), want max 1.25x+1", name, r, ok)
+		}
 	}
-	if s.StartFinishAllocRatio < 2 {
-		t.Fatalf("alloc ratio %.2f, want >= 2 (acceptance floor)", s.StartFinishAllocRatio)
+	if _, ok := regress.Find(recs, "netsim/spider2_congestion/ordered/ns_per_op"); ok {
+		t.Fatal("quick run measured the full-scale benchmark")
 	}
-	if s.Results[0].Name != "start_finish/map_baseline" || s.Results[1].Name != "start_finish/ordered" {
-		t.Fatalf("unexpected result names: %q, %q", s.Results[0].Name, s.Results[1].Name)
+	ratio, _ := regress.Find(recs, "netsim/start_finish_alloc_ratio")
+	if ratio.Value < 2 || ratio.Gate != regress.Min || ratio.Bound != 0.70*ratio.Value {
+		t.Fatalf("alloc ratio %+v, want >= 2 (acceptance floor) gated at 70%%", ratio)
 	}
-	out, err := s.JSON()
-	if err != nil || len(out) == 0 {
-		t.Fatalf("JSON render failed: %v", err)
+	if sp, _ := regress.Find(recs, "netsim/start_finish_speedup"); sp.Gate != regress.Min || sp.Bound != 1 {
+		t.Fatalf("speedup %+v, want min 1", sp)
 	}
-	if len(s.Render()) == 0 {
-		t.Fatal("empty table render")
+	if out, err := regress.Encode(recs); err != nil || len(out) == 0 {
+		t.Fatalf("encode failed: %v", err)
 	}
 }

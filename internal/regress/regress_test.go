@@ -1,338 +1,408 @@
 package regress
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-const netsimCommitted = `{
-  "schema": "spiderfs-netsim-bench/1",
-  "results": [
-    {"name": "start_finish/map_baseline", "ns_per_op": 11399.5, "allocs_per_op": 62},
-    {"name": "start_finish/ordered", "ns_per_op": 1663.5, "allocs_per_op": 4}
-  ],
-  "start_finish_alloc_ratio": 15.5,
-  "start_finish_speedup": 6.85
-}`
+// artifacts are the committed BENCH_*.json files at the repository root.
+var artifacts = []string{
+	"BENCH_netsim.json", "BENCH_spantrace.json", "BENCH_sweep.json",
+	"BENCH_integrity.json", "BENCH_serve.json", "BENCH_ledger.json",
+}
 
-const spantraceCommitted = `{
-  "schema": "spiderfs-spantrace-bench/1",
-  "overhead_frac": -0.084,
-  "spans_per_op": 518.75
-}`
-
-const sweepCommitted = `{
-  "schema": "spiderfs-sweep-bench/1",
-  "cpus": 8,
-  "workers": 8,
-  "sweeps": [
-    {
-      "label": "e18-chaos", "replicas": 32, "seed": 42, "workers": 8,
-      "serial_ns": 250000000, "parallel_ns": 60000000, "speedup": 4.1,
-      "deterministic": true, "fingerprint": "64bbdc892ff233d8", "errors": 0,
-      "metrics": [
-        {"name": "availability", "n": 32, "mean": 0.9964},
-        {"name": "incidents", "n": 32, "mean": 26.25}
-      ]
-    }
-  ]
-}`
-
-const integrityCommitted = `{
-  "schema": "spiderfs-integrity-bench/1",
-  "cpus": 8,
-  "workers": 8,
-  "default_scrub_interval_s": 30,
-  "undetected_reads_at_default": 0,
-  "undetected_reads_no_scrub": 5.125,
-  "rebuild_latent_hits_at_default": 0,
-  "rebuild_latent_hits_no_scrub": 35.5,
-  "lost_stripes_no_scrub": 1.0,
-  "scrub_overhead_frac": 0.134,
-  "sweeps": [
-    {
-      "label": "e19-scrub-default", "replicas": 8, "seed": 42, "workers": 8,
-      "serial_ns": 90000000, "parallel_ns": 30000000, "speedup": 3.0,
-      "deterministic": true, "fingerprint": "abcdef0123456789", "errors": 0,
-      "metrics": [
-        {"name": "undetected_reads", "n": 8, "mean": 0},
-        {"name": "scrub_repairs", "n": 8, "mean": 45.25}
-      ]
-    }
-  ]
-}`
-
-const serveCommitted = `{
-  "schema": "spiderfs-serve-bench/1",
-  "cpus": 8,
-  "workers": 2,
-  "pool_size": 2,
-  "fingerprint": "6f1d2c3b4a596877",
-  "deterministic": true,
-  "errors": 0,
-  "cache_hits": 12,
-  "cache_misses": 13,
-  "cache_evictions": 0,
-  "pool_reuses": 10,
-  "warm_speedup": 1.8,
-  "cache_speedup": 240.5,
-  "paths": [
-    {"path": "cold", "sessions": 12, "sessions_per_sec": 310.5, "p50_ns": 3200000, "p99_ns": 5100000},
-    {"path": "warm", "sessions": 12, "sessions_per_sec": 560.2, "p50_ns": 1800000, "p99_ns": 2900000},
-    {"path": "cache", "sessions": 12, "sessions_per_sec": 9100.0, "p50_ns": 13000, "p99_ns": 41000}
-  ]
-}`
-
-func mustCompare(t *testing.T, artifact, committed, fresh string) []Finding {
+func load(t *testing.T, file string) []Record {
 	t.Helper()
-	out, err := Compare(artifact, []byte(committed), []byte(fresh))
+	data, err := os.ReadFile(filepath.Join("..", "..", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a artifact
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatalf("%s: %v", file, err)
+	}
+	if a.Schema != Schema || len(a.Records) == 0 {
+		t.Fatalf("%s: schema %q with %d records", file, a.Schema, len(a.Records))
+	}
+	return a.Records
+}
+
+func encode(t *testing.T, recs []Record) []byte {
+	t.Helper()
+	data, err := Encode(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func compare(t *testing.T, file string, committed, fresh []Record) []Finding {
+	t.Helper()
+	out, err := Compare(file, encode(t, committed), encode(t, fresh))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-func wantCheck(t *testing.T, findings []Finding, check string) {
+// edit returns a copy of recs with fn applied to the record named key,
+// or to every record under key when it ends in a slash; fn returning
+// false deletes the record.
+func edit(recs []Record, key string, fn func(r *Record) bool) []Record {
+	var out []Record
+	for _, r := range recs {
+		match := r.Name == key || strings.HasSuffix(key, "/") && strings.HasPrefix(r.Name, key)
+		if match && !fn(&r) {
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+func set(v float64) func(r *Record) bool {
+	return func(r *Record) bool { r.Value = v; return true }
+}
+
+func setText(s string) func(r *Record) bool {
+	return func(r *Record) bool { r.Text = s; return true }
+}
+
+func drop(*Record) bool { return false }
+
+// wantFindings fails unless findings name exactly the given records.
+func wantFindings(t *testing.T, what string, findings []Finding, names ...string) {
 	t.Helper()
-	for _, f := range findings {
-		if f.Check == check {
-			return
-		}
+	got := make([]string, len(findings))
+	for i, f := range findings {
+		got[i] = f.Record
 	}
-	t.Errorf("no %s finding in %v", check, findings)
+	if strings.Join(got, ",") != strings.Join(names, ",") {
+		t.Errorf("%s: findings %v, want records %v", what, findings, names)
+	}
 }
 
+func wantPolicy(t *testing.T, recs []Record, name string, gate Gate, bound float64) Record {
+	t.Helper()
+	r, ok := Find(recs, name)
+	if !ok {
+		t.Fatalf("no record %s", name)
+	}
+	if r.Gate != gate || r.Bound != bound {
+		t.Errorf("%s: gate %s bound %v, want %s %v", name, r.Gate, r.Bound, gate, bound)
+	}
+	return r
+}
+
+// TestIdenticalArtifactsPass checks every committed artifact against
+// itself, and that no wall-clock figure in it is gated. The one
+// exception is the netsim start/finish speedup: the ordered path must
+// beat the map baseline outright, with a several-fold margin to spare.
 func TestIdenticalArtifactsPass(t *testing.T) {
-	for _, c := range []struct{ name, doc string }{
-		{"BENCH_netsim.json", netsimCommitted},
-		{"BENCH_spantrace.json", spantraceCommitted},
-		{"BENCH_sweep.json", sweepCommitted},
-		{"BENCH_integrity.json", integrityCommitted},
-		{"BENCH_serve.json", serveCommitted},
-		{"BENCH_ledger.json", ledgerCommitted},
-	} {
-		if out := mustCompare(t, c.name, c.doc, c.doc); len(out) != 0 {
-			t.Errorf("%s vs itself: %v", c.name, out)
+	wall := []string{"_ns", "/ns_per_op", "/ns_per_flow_event", "speedup", "_per_sec"}
+	for _, file := range artifacts {
+		recs := load(t, file)
+		if out := compare(t, file, recs, recs); len(out) != 0 {
+			t.Errorf("%s vs itself: %v", file, out)
+		}
+		for _, r := range recs {
+			if r.Name == "netsim/start_finish_speedup" {
+				continue
+			}
+			for _, suffix := range wall {
+				if strings.HasSuffix(r.Name, suffix) && r.Gate != Recorded {
+					t.Errorf("%s: wall-clock record %s gated %s", file, r.Name, r.Gate)
+				}
+			}
 		}
 	}
 }
 
-// TestPerturbedSweepFails is the sabotage test: hand-edit the fresh
-// artifact the way a behavioral regression would (different
-// fingerprint, shifted mean) and the gate must trip.
+// pastGate returns r's value moved just beyond its gate, with a bound
+// loosened enough to admit it: the committed bound must still apply.
+func pastGate(r Record) Record {
+	switch r.Gate {
+	case Exact:
+		if r.Text != "" {
+			r.Text += "0"
+		} else {
+			r.Value++
+		}
+	case Band:
+		r.Value += 2*r.Bound*math.Abs(r.Value) + math.SmallestNonzeroFloat64
+		r.Bound = 1e6
+	case Min:
+		r.Value = math.Nextafter(r.Bound, math.Inf(-1))
+		r.Bound = r.Value - 1
+	case Max:
+		r.Value = math.Nextafter(r.Bound, math.Inf(1))
+		r.Bound = r.Value + 1
+	}
+	return r
+}
+
+// TestCommittedArtifactSabotage drives the gate with the real committed
+// artifacts: every gated record pushed just past its gate, relabelled
+// recorded, or deleted yields exactly one finding naming it, and every
+// recorded record may change arbitrarily without one.
+func TestCommittedArtifactSabotage(t *testing.T) {
+	for _, file := range artifacts {
+		recs := load(t, file)
+		for i, r := range recs {
+			fresh := append([]Record(nil), recs...)
+			if r.Gate == Recorded {
+				fresh[i].Value = fresh[i].Value*3 + 7
+				fresh[i].Text += "zz"
+				wantFindings(t, file+" "+r.Name+" changed", compare(t, file, recs, fresh))
+				continue
+			}
+			fresh[i] = pastGate(r)
+			wantFindings(t, file+" "+r.Name+" past gate", compare(t, file, recs, fresh), r.Name)
+
+			fresh[i] = r
+			fresh[i].Gate = Recorded
+			out := compare(t, file, recs, fresh)
+			wantFindings(t, file+" "+r.Name+" relabelled", out, r.Name)
+			if len(out) == 1 && out[0].Check != "gate" {
+				t.Errorf("%s: relabelled %s reported as %q", file, r.Name, out[0].Check)
+			}
+
+			fresh = append(append([]Record(nil), recs[:i]...), recs[i+1:]...)
+			out = compare(t, file, recs, fresh)
+			wantFindings(t, file+" "+r.Name+" deleted", out, r.Name)
+			if len(out) == 1 && out[0].Check != "missing" {
+				t.Errorf("%s: deleted %s reported as %q", file, r.Name, out[0].Check)
+			}
+		}
+	}
+}
+
+// TestPerturbedSweepFails: a behavioral regression (different
+// fingerprint, shifted mean) must trip the exact and band gates.
 func TestPerturbedSweepFails(t *testing.T) {
-	perturbed := strings.Replace(sweepCommitted, "64bbdc892ff233d8", "deadbeefdeadbeef", 1)
-	perturbed = strings.Replace(perturbed, `"mean": 0.9964`, `"mean": 0.9876`, 1)
-	out := mustCompare(t, "BENCH_sweep.json", sweepCommitted, perturbed)
-	wantCheck(t, out, "sweep-fingerprint")
-	wantCheck(t, out, "sweep-metric")
+	recs := load(t, "BENCH_sweep.json")
+	fp := wantPolicy(t, recs, "sweep/e18-chaos/fingerprint", Exact, 0)
+	mean := wantPolicy(t, recs, "sweep/e18-chaos/availability/mean", Band, 1e-9)
+	fresh := edit(recs, fp.Name, setText("deadbeefdeadbeef"))
+	fresh = edit(fresh, mean.Name, set(mean.Value*0.99))
+	wantFindings(t, "perturbed", compare(t, "BENCH_sweep.json", recs, fresh), fp.Name, mean.Name)
 }
 
 func TestSweepStructuralRegressions(t *testing.T) {
-	broken := strings.Replace(sweepCommitted, `"deterministic": true`, `"deterministic": false`, 1)
-	broken = strings.Replace(broken, `"errors": 0`, `"errors": 3`, 1)
-	out := mustCompare(t, "BENCH_sweep.json", sweepCommitted, broken)
-	wantCheck(t, out, "sweep-deterministic")
-	wantCheck(t, out, "sweep-errors")
+	recs := load(t, "BENCH_sweep.json")
+	wantPolicy(t, recs, "sweep/e3-slowdisk/deterministic", Min, 1)
+	wantPolicy(t, recs, "sweep/e3-slowdisk/errors", Max, 0)
+	broken := edit(recs, "sweep/e3-slowdisk/deterministic", set(0))
+	broken = edit(broken, "sweep/e3-slowdisk/errors", set(3))
+	wantFindings(t, "broken", compare(t, "BENCH_sweep.json", recs, broken),
+		"sweep/e3-slowdisk/deterministic", "sweep/e3-slowdisk/errors")
 
-	empty := `{"schema": "spiderfs-sweep-bench/1", "sweeps": []}`
-	wantCheck(t, mustCompare(t, "BENCH_sweep.json", sweepCommitted, empty), "sweep-missing")
+	gone := edit(recs, "sweep/e13-purge/", drop)
+	out := compare(t, "BENCH_sweep.json", recs, gone)
+	if len(out) == 0 {
+		t.Fatal("a vanished sweep passed the gate")
+	}
+	for _, f := range out {
+		if f.Check != "missing" || !strings.HasPrefix(f.Record, "sweep/e13-purge/") {
+			t.Errorf("unexpected finding %v", f)
+		}
+	}
 }
 
+// Wall-clock speedup varies by host CPU count and is recorded, not
+// gated: a 1-CPU runner regenerating the artifact must still pass.
 func TestSweepSpeedupNotGated(t *testing.T) {
-	// Wall-clock speedup varies by host CPU count and is recorded, not
-	// gated: a 1-CPU runner regenerating the artifact must still pass.
-	slow := strings.Replace(sweepCommitted, `"speedup": 4.1`, `"speedup": 0.93`, 1)
-	if out := mustCompare(t, "BENCH_sweep.json", sweepCommitted, slow); len(out) != 0 {
-		t.Errorf("speedup drift should not trip the gate: %v", out)
-	}
+	recs := load(t, "BENCH_sweep.json")
+	slow := edit(recs, "sweep/e18-chaos/speedup", set(0.93))
+	slow = edit(slow, "sweep/e18-chaos/parallel_ns", set(9e12))
+	slow = edit(slow, "sweep/cpus", set(1))
+	wantFindings(t, "slow host", compare(t, "BENCH_sweep.json", recs, slow))
 }
 
-// TestIntegrityGates is the sabotage suite for BENCH_integrity.json:
-// any undetected corrupt read at the default interval is a hard
-// failure, a vanished exposure baseline invalidates the gate, excess
-// scrub overhead trips the ceiling, and the inherited sweep gates
-// (fingerprints, means) stay exact.
+// TestIntegrityGates: any undetected corrupt read at the default
+// interval fails, a vanished exposure baseline invalidates the gate,
+// excess scrub overhead trips its ceiling while in-band wobble passes,
+// and the inherited sweep gates stay exact.
 func TestIntegrityGates(t *testing.T) {
-	leak := strings.Replace(integrityCommitted,
-		`"undetected_reads_at_default": 0`, `"undetected_reads_at_default": 0.25`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_integrity.json", integrityCommitted, leak),
-		"undetected-corrupt-reads")
-
-	vacuous := strings.Replace(integrityCommitted,
-		`"undetected_reads_no_scrub": 5.125`, `"undetected_reads_no_scrub": 0`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_integrity.json", integrityCommitted, vacuous),
-		"exposure-baseline")
-
-	heavy := strings.Replace(integrityCommitted,
-		`"scrub_overhead_frac": 0.134`, `"scrub_overhead_frac": 0.41`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_integrity.json", integrityCommitted, heavy),
-		"scrub-overhead")
-
-	drift := strings.Replace(integrityCommitted, "abcdef0123456789", "deadbeefdeadbeef", 1)
-	drift = strings.Replace(drift, `{"name": "scrub_repairs", "n": 8, "mean": 45.25}`,
-		`{"name": "scrub_repairs", "n": 8, "mean": 44.0}`, 1)
-	out := mustCompare(t, "BENCH_integrity.json", integrityCommitted, drift)
-	wantCheck(t, out, "sweep-fingerprint")
-	wantCheck(t, out, "sweep-metric")
-
-	// In-band overhead wobble on an otherwise identical artifact passes.
-	wobble := strings.Replace(integrityCommitted,
-		`"scrub_overhead_frac": 0.134`, `"scrub_overhead_frac": 0.168`, 1)
-	if out := mustCompare(t, "BENCH_integrity.json", integrityCommitted, wobble); len(out) != 0 {
-		t.Errorf("in-band overhead tripped the gate: %v", out)
+	const file = "BENCH_integrity.json"
+	recs := load(t, file)
+	replicas, _ := Find(recs, "integrity/e19-scrub-off/replicas")
+	wantPolicy(t, recs, "integrity/undetected_reads_at_default", Max, 0)
+	wantPolicy(t, recs, "integrity/undetected_reads_no_scrub", Min, 1/replicas.Value)
+	wantPolicy(t, recs, "integrity/scrub_overhead_frac", Max, 0.25)
+	for _, label := range []string{"e19-scrub-off", "e19-scrub-default", "e19-scrub-slow"} {
+		wantPolicy(t, recs, "integrity/"+label+"/fingerprint", Exact, 0)
+		wantPolicy(t, recs, "integrity/"+label+"/deterministic", Min, 1)
+		wantPolicy(t, recs, "integrity/"+label+"/errors", Max, 0)
 	}
+
+	for _, c := range []struct {
+		name string
+		fn   func(r *Record) bool
+	}{
+		{"integrity/undetected_reads_at_default", set(0.25)},
+		{"integrity/undetected_reads_no_scrub", set(0)},
+		{"integrity/scrub_overhead_frac", set(0.41)},
+		{"integrity/e19-scrub-default/fingerprint", setText("deadbeefdeadbeef")},
+		{"integrity/e19-scrub-default/scrub_repairs/mean", set(1e6)},
+	} {
+		wantFindings(t, c.name, compare(t, file, recs, edit(recs, c.name, c.fn)), c.name)
+	}
+
+	wobble := edit(recs, "integrity/scrub_overhead_frac", set(0.168))
+	wantFindings(t, "in-band overhead", compare(t, file, recs, wobble))
 }
 
 func TestNetsimGates(t *testing.T) {
-	bad := strings.Replace(netsimCommitted, `"start_finish_alloc_ratio": 15.5`,
-		`"start_finish_alloc_ratio": 3.2`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_netsim.json", netsimCommitted, bad), "alloc-ratio")
+	const file = "BENCH_netsim.json"
+	recs := load(t, file)
+	ratio, _ := Find(recs, "netsim/start_finish_alloc_ratio")
+	wantPolicy(t, recs, ratio.Name, Min, 0.70*ratio.Value)
+	wantPolicy(t, recs, "netsim/start_finish_speedup", Min, 1)
+	for _, name := range []string{"start_finish/map_baseline", "start_finish/ordered", "spider2_congestion/ordered"} {
+		r, _ := Find(recs, "netsim/"+name+"/allocs_per_op")
+		wantPolicy(t, recs, r.Name, Max, r.Value*1.25+1)
+	}
 
-	slow := strings.Replace(netsimCommitted, `"start_finish_speedup": 6.85`,
-		`"start_finish_speedup": 0.8`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_netsim.json", netsimCommitted, slow), "speedup")
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"netsim/start_finish_alloc_ratio", 3.2},
+		{"netsim/start_finish_speedup", 0.8},
+		{"netsim/start_finish/ordered/allocs_per_op", 40},
+	} {
+		wantFindings(t, c.name, compare(t, file, recs, edit(recs, c.name, set(c.v))), c.name)
+	}
 
-	leaky := strings.Replace(netsimCommitted,
-		`{"name": "start_finish/ordered", "ns_per_op": 1663.5, "allocs_per_op": 4}`,
-		`{"name": "start_finish/ordered", "ns_per_op": 1663.5, "allocs_per_op": 40}`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_netsim.json", netsimCommitted, leaky), "allocs-per-op")
-
-	// Small drift stays inside the tolerances.
-	drift := strings.Replace(netsimCommitted, `"start_finish_alloc_ratio": 15.5`,
-		`"start_finish_alloc_ratio": 13.0`, 1)
-	if out := mustCompare(t, "BENCH_netsim.json", netsimCommitted, drift); len(out) != 0 {
-		t.Errorf("in-tolerance drift tripped the gate: %v", out)
+	// The ratio may fall to 70% of the committed value and no further,
+	// whatever figure a regeneration commits.
+	wantFindings(t, "in-tolerance drift", compare(t, file, recs, edit(recs, ratio.Name, set(0.85*ratio.Value))))
+	wantFindings(t, "past-tolerance drift", compare(t, file, recs, edit(recs, ratio.Name, set(0.69*ratio.Value))),
+		ratio.Name)
+	if ratio.Value == 15.5 {
+		drift := edit(recs, ratio.Name, set(13.0))
+		wantFindings(t, "15.5 to 13.0", compare(t, file, recs, drift))
 	}
 }
 
 func TestSpantraceGates(t *testing.T) {
-	bad := strings.Replace(spantraceCommitted, `"overhead_frac": -0.084`,
-		`"overhead_frac": 0.11`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_spantrace.json", spantraceCommitted, bad), "overhead")
-
-	sparse := strings.Replace(spantraceCommitted, `"spans_per_op": 518.75`,
-		`"spans_per_op": 120.0`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_spantrace.json", spantraceCommitted, sparse), "spans-per-op")
+	const file = "BENCH_spantrace.json"
+	recs := load(t, file)
+	wantPolicy(t, recs, "spantrace/overhead_frac", Max, 0.05)
+	spans := wantPolicy(t, recs, "spantrace/spans_per_op", Band, 0.10)
+	wantFindings(t, "overhead", compare(t, file, recs, edit(recs, "spantrace/overhead_frac", set(0.11))),
+		"spantrace/overhead_frac")
+	wantFindings(t, "sparse", compare(t, file, recs, edit(recs, spans.Name, set(spans.Value*0.85))),
+		spans.Name)
+	wantFindings(t, "in-band", compare(t, file, recs, edit(recs, spans.Name, set(spans.Value*1.05))))
 }
 
-// TestServeGates is the sabotage suite for BENCH_serve.json: a drifted
-// probe fingerprint, a cold-vs-warm divergence, any failed session, or
-// a vanished/empty execution path must each trip the gate, while the
-// latency-derived fields (speedups, sessions/sec, percentiles) may
-// swing freely — a 1-CPU host regenerating the artifact reports
-// different ratios and must still pass.
+// TestServeGates: a drifted probe fingerprint, a cold-vs-warm
+// divergence, any failed session, or a vanished or empty execution
+// path each trip the gate, while the latency-derived figures may swing
+// freely — a 1-CPU host regenerating the artifact reports different
+// ratios and must still pass.
 func TestServeGates(t *testing.T) {
-	drift := strings.Replace(serveCommitted, "6f1d2c3b4a596877", "deadbeefdeadbeef", 1)
-	wantCheck(t, mustCompare(t, "BENCH_serve.json", serveCommitted, drift), "serve-fingerprint")
-
-	racy := strings.Replace(serveCommitted, `"deterministic": true`, `"deterministic": false`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_serve.json", serveCommitted, racy), "serve-deterministic")
-
-	failed := strings.Replace(serveCommitted, `"errors": 0`, `"errors": 2`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_serve.json", serveCommitted, failed), "serve-errors")
-
-	gone := strings.Replace(serveCommitted, `"path": "warm"`, `"path": "lukewarm"`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_serve.json", serveCommitted, gone), "serve-path")
-
-	hollow := strings.Replace(serveCommitted, `{"path": "cache", "sessions": 12`,
-		`{"path": "cache", "sessions": 0`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_serve.json", serveCommitted, hollow), "serve-path")
-
-	// Timing swings never gate: halve every rate, invert both speedups.
-	slow := strings.Replace(serveCommitted, `"warm_speedup": 1.8`, `"warm_speedup": 0.4`, 1)
-	slow = strings.Replace(slow, `"cache_speedup": 240.5`, `"cache_speedup": 0.9`, 1)
-	slow = strings.Replace(slow, `"sessions_per_sec": 560.2`, `"sessions_per_sec": 4.1`, 1)
-	slow = strings.Replace(slow, `"p99_ns": 2900000`, `"p99_ns": 990000000`, 1)
-	if out := mustCompare(t, "BENCH_serve.json", serveCommitted, slow); len(out) != 0 {
-		t.Errorf("latency drift should not trip the gate: %v", out)
+	const file = "BENCH_serve.json"
+	recs := load(t, file)
+	wantPolicy(t, recs, "serve/fingerprint", Exact, 0)
+	wantPolicy(t, recs, "serve/deterministic", Min, 1)
+	wantPolicy(t, recs, "serve/errors", Max, 0)
+	for _, c := range []struct {
+		name string
+		fn   func(r *Record) bool
+	}{
+		{"serve/fingerprint", setText("deadbeefdeadbeef")},
+		{"serve/deterministic", set(0)},
+		{"serve/errors", set(2)},
+		{"serve/cache/sessions", set(0)},
+	} {
+		wantFindings(t, c.name, compare(t, file, recs, edit(recs, c.name, c.fn)), c.name)
 	}
+	for _, path := range []string{"cold", "warm", "cache"} {
+		wantPolicy(t, recs, "serve/"+path+"/sessions", Min, 1)
+	}
+	gone := edit(recs, "serve/warm/", drop)
+	wantFindings(t, "vanished path", compare(t, file, recs, gone), "serve/warm/sessions")
+
+	slow := edit(recs, "serve/warm_speedup", set(0.4))
+	slow = edit(slow, "serve/cache_speedup", set(0.9))
+	slow = edit(slow, "serve/warm/sessions_per_sec", set(4.1))
+	slow = edit(slow, "serve/warm/p99_ns", set(990000000))
+	wantFindings(t, "latency drift", compare(t, file, recs, slow))
+}
+
+// TestLedgerGates: a shifted root or head, a lost determinism or audit
+// property, an undetected or vanished tamper class, or a drifted batch
+// anchor head each trip a gate, while wall-clock throughput drift
+// passes.
+func TestLedgerGates(t *testing.T) {
+	const file = "BENCH_ledger.json"
+	recs := load(t, file)
+	for _, name := range []string{"deterministic", "traced_identical", "audit_clean"} {
+		wantPolicy(t, recs, "ledger/"+name, Min, 1)
+	}
+	for _, name := range []string{"entries", "anchors", "drops", "head", "roots", "root/000", "batch/64/head"} {
+		wantPolicy(t, recs, "ledger/"+name, Exact, 0)
+	}
+	total, _ := Find(recs, "ledger/tampers")
+	wantPolicy(t, recs, "ledger/tampers", Min, total.Value)
+	wantPolicy(t, recs, "ledger/tampers/undetected", Max, 0)
+
+	roots, _ := Find(recs, "ledger/roots")
+	last := fmt.Sprintf("ledger/root/%03d", int(roots.Value)-1)
+	for _, c := range []struct {
+		name string
+		fn   func(r *Record) bool
+	}{
+		{"ledger/head", setText("deadbeef")},
+		{last, setText("deadbeef")},
+		{"ledger/deterministic", set(0)},
+		{"ledger/traced_identical", set(0)},
+		{"ledger/audit_clean", set(0)},
+		{"ledger/entries", set(41)},
+		{"ledger/tamper/forged-suffix/detected", set(0)},
+		{"ledger/tampers/undetected", set(1)},
+		{total.Name, set(total.Value - 1)},
+		{"ledger/batch/4096/head", setText("deadbeef")},
+	} {
+		wantFindings(t, c.name, compare(t, file, recs, edit(recs, c.name, c.fn)), c.name)
+	}
+
+	gone := edit(recs, "ledger/batch/4096/", drop)
+	wantFindings(t, "vanished batch point", compare(t, file, recs, gone),
+		"ledger/batch/4096/entries", "ledger/batch/4096/anchors", "ledger/batch/4096/head")
+
+	wall := edit(recs, "ledger/batch/64/append_ns", set(9900000))
+	wall = edit(wall, "ledger/batch/64/entries_per_sec", set(820000))
+	wantFindings(t, "wall-clock drift", compare(t, file, recs, wall))
 }
 
 func TestSchemaMismatchAndErrors(t *testing.T) {
-	other := strings.Replace(spantraceCommitted, "spiderfs-spantrace-bench/1",
-		"spiderfs-spantrace-bench/2", 1)
-	wantCheck(t, mustCompare(t, "BENCH_spantrace.json", spantraceCommitted, other), "schema")
+	committed := encode(t, load(t, "BENCH_spantrace.json"))
+	other := strings.Replace(string(committed), Schema, "spiderfs-bench/3", 1)
+	out, err := Compare("BENCH_spantrace.json", committed, []byte(other))
+	if err != nil || len(out) != 1 || out[0].Check != "schema" {
+		t.Errorf("schema mismatch: %v, %v", out, err)
+	}
 
 	if _, err := Compare("x.json", []byte("{not json"), []byte("{}")); err == nil {
 		t.Error("malformed committed artifact should error")
 	}
+	if _, err := Compare("x.json", committed, []byte("{not json")); err == nil {
+		t.Error("malformed fresh artifact should error")
+	}
 	if _, err := Compare("x.json", []byte(`{"schema":"nope/9"}`), []byte(`{"schema":"nope/9"}`)); err == nil {
 		t.Error("unknown schema should error")
 	}
-}
-
-const ledgerCommitted = `{
-  "schema": "spiderfs-ledger-bench/1",
-  "cpus": 8,
-  "seed": 7,
-  "campaign_entries": 42,
-  "campaign_anchors": 14,
-  "campaign_drops": 0,
-  "campaign_roots": ["aaaa000000000001", "aaaa000000000002"],
-  "campaign_head": "b6e21a5d6da66887",
-  "deterministic": true,
-  "traced_identical": true,
-  "audit_clean": true,
-  "tamper_total": 5,
-  "tampers_detected": 5,
-  "tampers": [
-    {"name": "entry-mutation", "detected": true, "class": "entry-mutation", "epoch": 5},
-    {"name": "entry-deletion", "detected": true, "class": "sequence-gap", "epoch": 8},
-    {"name": "chain-truncation", "detected": true, "class": "history-truncation", "epoch": 12},
-    {"name": "batch-reorder", "detected": true, "class": "anchor-break", "epoch": 2},
-    {"name": "forged-suffix", "detected": true, "class": "root-divergence", "epoch": 12}
-  ],
-  "batches": [
-    {"max_batch": 64, "entries": 8192, "anchors": 128, "head": "cccc000000000064", "append_ns": 4100000, "entries_per_sec": 1998048.0},
-    {"max_batch": 4096, "entries": 8192, "anchors": 3, "head": "cccc000000004096", "append_ns": 3900000, "entries_per_sec": 2100512.0}
-  ]
-}`
-
-// TestLedgerGates is the sabotage suite for BENCH_ledger.json: a
-// shifted root or head, a lost determinism/audit property, an
-// undetected tamper class, or a drifted batch anchor head must each
-// trip its gate, while wall-clock throughput drift passes.
-func TestLedgerGates(t *testing.T) {
-	drift := strings.Replace(ledgerCommitted, `"campaign_head": "b6e21a5d6da66887"`,
-		`"campaign_head": "deadbeefdeadbeef"`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, drift), "ledger-head")
-
-	root := strings.Replace(ledgerCommitted, `"aaaa000000000002"`, `"aaaa00000000beef"`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, root), "ledger-roots")
-
-	nondet := strings.Replace(ledgerCommitted, `"deterministic": true`, `"deterministic": false`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, nondet), "ledger-deterministic")
-
-	traced := strings.Replace(ledgerCommitted, `"traced_identical": true`, `"traced_identical": false`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, traced), "ledger-traced")
-
-	dirty := strings.Replace(ledgerCommitted, `"audit_clean": true`, `"audit_clean": false`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, dirty), "ledger-audit")
-
-	missed := strings.Replace(ledgerCommitted, `"tampers_detected": 5`, `"tampers_detected": 4`, 1)
-	missed = strings.Replace(missed,
-		`{"name": "forged-suffix", "detected": true`, `{"name": "forged-suffix", "detected": false`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, missed), "ledger-tampers")
-
-	counts := strings.Replace(ledgerCommitted, `"campaign_entries": 42`, `"campaign_entries": 41`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, counts), "ledger-counts")
-
-	batch := strings.Replace(ledgerCommitted, `"head": "cccc000000004096"`,
-		`"head": "cccc0000dead4096"`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, batch), "ledger-batch")
-
-	gone := strings.Replace(ledgerCommitted,
-		`{"max_batch": 4096, "entries": 8192, "anchors": 3, "head": "cccc000000004096", "append_ns": 3900000, "entries_per_sec": 2100512.0}`,
-		``, 1)
-	gone = strings.Replace(gone, `, "entries_per_sec": 1998048.0},`, `, "entries_per_sec": 1998048.0}`, 1)
-	wantCheck(t, mustCompare(t, "BENCH_ledger.json", ledgerCommitted, gone), "ledger-batch")
-
-	// Wall-clock throughput drift on an otherwise identical artifact
-	// passes: append_ns and entries_per_sec are recorded, not gated.
-	wall := strings.Replace(ledgerCommitted, `"append_ns": 4100000`, `"append_ns": 9900000`, 1)
-	wall = strings.Replace(wall, `"entries_per_sec": 1998048.0`, `"entries_per_sec": 820000.0`, 1)
-	if out := mustCompare(t, "BENCH_ledger.json", ledgerCommitted, wall); len(out) != 0 {
-		t.Errorf("wall-clock drift tripped the gate: %v", out)
+	bogus := []byte(`{"schema":"` + Schema + `","records":[{"name":"a/b","value":1,"gate":"roughly"}]}`)
+	if _, err := Compare("x.json", bogus, bogus); err == nil {
+		t.Error("unknown committed gate should error")
 	}
 }

@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
 	"runtime"
 	"sort"
-	"strings"
+
+	"spiderfs/internal/regress"
 )
 
 // Bench parameters: enough sessions per path for stable percentiles,
@@ -15,45 +14,12 @@ const (
 	benchSeedBase = 1000
 )
 
-// PathStat is one execution path's latency distribution.
-type PathStat struct {
-	Path           string  `json:"path"` // cold | warm | cache
-	Sessions       int     `json:"sessions"`
-	SessionsPerSec float64 `json:"sessions_per_sec"`
-	P50Ns          float64 `json:"p50_ns"`
-	P99Ns          float64 `json:"p99_ns"`
-}
-
-// Suite is the BENCH_serve.json artifact. Fingerprint, Deterministic,
-// and Errors are exact-gated by internal/regress; the latency-derived
-// fields (sessions/sec, percentiles, speedups) are recorded but never
-// gated — a 1-CPU CI host legitimately reports different ratios.
-type Suite struct {
-	Schema   string `json:"schema"`
-	CPUs     int    `json:"cpus"`
-	Workers  int    `json:"workers"`
-	PoolSize int    `json:"pool_size"`
-
-	// Fingerprint is the probe spec's report fingerprint — identical on
-	// every host, gated exactly.
-	Fingerprint string `json:"fingerprint"`
-	// Deterministic records that every seed produced the same
-	// fingerprint on the cold path and the warm-pool path.
-	Deterministic bool `json:"deterministic"`
-	// Errors counts failed sessions across all phases (gated at zero).
-	Errors int `json:"errors"`
-
-	CacheHits      uint64 `json:"cache_hits"`
-	CacheMisses    uint64 `json:"cache_misses"`
-	CacheEvictions uint64 `json:"cache_evictions"`
-	PoolReuses     uint64 `json:"pool_reuses"`
-
-	// WarmSpeedup and CacheSpeedup compare p50 latencies against the
-	// cold path (recorded, not gated).
-	WarmSpeedup  float64 `json:"warm_speedup"`
-	CacheSpeedup float64 `json:"cache_speedup"`
-
-	Paths []PathStat `json:"paths"`
+// pathStat is one execution path's latency distribution.
+type pathStat struct {
+	path           string // cold | warm | cache
+	sessions       int
+	sessionsPerSec float64
+	p50Ns, p99Ns   float64
 }
 
 // benchSpec is the probe workload every phase runs (seed varied per
@@ -67,7 +33,7 @@ func benchSpec(seed uint64) Spec {
 // failure) plus the latency distribution. Submission retries on ErrBusy
 // by waiting for an earlier session — the bench drives the service at
 // its own pace; shedding is exercised by the backpressure tests.
-func runPhase(svc *Service, path string, seeds []uint64, clock func() int64) (PathStat, []string, int) {
+func runPhase(svc *Service, path string, seeds []uint64, clock func() int64) (pathStat, []string, int) {
 	var t0 int64
 	if clock != nil {
 		t0 = clock()
@@ -107,15 +73,15 @@ func runPhase(svc *Service, path string, seeds []uint64, clock func() int64) (Pa
 		prints[i] = rep.Fingerprint
 		lats = append(lats, float64(sess.LatencyNs()))
 	}
-	st := PathStat{Path: path, Sessions: len(lats)}
+	st := pathStat{path: path, sessions: len(lats)}
 	if len(lats) > 0 {
 		sort.Float64s(lats)
-		st.P50Ns = lats[len(lats)/2]
-		st.P99Ns = lats[(len(lats)*99+99)/100-1]
+		st.p50Ns = lats[len(lats)/2]
+		st.p99Ns = lats[(len(lats)*99+99)/100-1]
 	}
 	if clock != nil && len(lats) > 0 {
 		if wall := clock() - t0; wall > 0 {
-			st.SessionsPerSec = float64(len(lats)) / (float64(wall) / 1e9)
+			st.sessionsPerSec = float64(len(lats)) / (float64(wall) / 1e9)
 		}
 	}
 	return st, prints, errs
@@ -124,17 +90,17 @@ func runPhase(svc *Service, path string, seeds []uint64, clock func() int64) (Pa
 // RunBench measures sessions/sec and latency percentiles for the three
 // execution paths — cold build, warm-pool reuse, and cache hit — and
 // cross-checks that cold and warm runs of every seed agree on their
-// fingerprints. clock supplies wall nanoseconds (nil leaves timing
-// fields zero, as the deterministic tests do).
-func RunBench(clock func() int64) Suite {
+// fingerprints. It returns the BENCH_serve.json records: the probe
+// fingerprint is exact-gated, the cold-vs-warm agreement, the error
+// count and each path's session count are bounded, and the
+// latency-derived figures are recorded, never gated — a 1-CPU host
+// legitimately reports different ratios. clock supplies wall
+// nanoseconds (nil leaves timing records zero).
+func RunBench(clock func() int64) []regress.Record {
 	const workers = 2
 	seeds := make([]uint64, benchSessions)
 	for i := range seeds {
 		seeds[i] = benchSeedBase + uint64(i)
-	}
-	s := Suite{
-		Schema: "spiderfs-serve-bench/1", CPUs: runtime.NumCPU(),
-		Workers: workers, PoolSize: workers,
 	}
 
 	// Cold: no warm retention, distinct seeds — every session builds.
@@ -147,7 +113,7 @@ func RunBench(clock func() int64) Suite {
 	warmSvc := New(Config{Workers: workers, PoolSize: workers, QueueDepth: benchSessions, CacheSize: 0, Clock: clock})
 	warmSvc.Prewarm(workers, false)
 	warm, warmPrints, warmErrs := runPhase(warmSvc, "warm", seeds, clock)
-	_, s.PoolReuses, _, _ = warmSvc.pool.counters()
+	_, poolReuses, _, _ := warmSvc.pool.counters()
 	warmSvc.Close()
 
 	// Cache: one priming miss, then the same spec repeatedly — hits.
@@ -161,48 +127,41 @@ func RunBench(clock func() int64) Suite {
 	}
 	cache, _, cacheErrs := runPhase(cacheSvc, "cache", hits, clock)
 	st := cacheSvc.Stats(false)
-	s.CacheHits, s.CacheMisses, s.CacheEvictions = st.CacheHits, st.CacheMisses, st.CacheEvictions
 	cacheSvc.Close()
 
-	s.Errors = coldErrs + warmErrs + primeErrs + cacheErrs
-	s.Deterministic = true
+	deterministic := true
 	for i := range seeds {
 		if coldPrints[i] == "" || coldPrints[i] != warmPrints[i] {
-			s.Deterministic = false
+			deterministic = false
 		}
 	}
-	s.Fingerprint = coldPrints[0]
-	if warm.P50Ns > 0 {
-		s.WarmSpeedup = cold.P50Ns / warm.P50Ns
+	speedup := func(p pathStat) float64 {
+		if p.p50Ns > 0 {
+			return cold.p50Ns / p.p50Ns
+		}
+		return 0
 	}
-	if cache.P50Ns > 0 {
-		s.CacheSpeedup = cold.P50Ns / cache.P50Ns
+	recs := []regress.Record{
+		{Name: "serve/fingerprint", Text: coldPrints[0], Gate: regress.Exact},
+		{Name: "serve/deterministic", Value: regress.Bool(deterministic), Gate: regress.Min, Bound: 1},
+		{Name: "serve/errors", Value: float64(coldErrs + warmErrs + primeErrs + cacheErrs), Unit: "count", Gate: regress.Max},
+		{Name: "serve/cpus", Value: float64(runtime.NumCPU()), Unit: "count", Gate: regress.Recorded},
+		{Name: "serve/workers", Value: workers, Unit: "count", Gate: regress.Recorded},
+		{Name: "serve/pool_size", Value: workers, Unit: "count", Gate: regress.Recorded},
+		{Name: "serve/cache_hits", Value: float64(st.CacheHits), Unit: "count", Gate: regress.Recorded},
+		{Name: "serve/cache_misses", Value: float64(st.CacheMisses), Unit: "count", Gate: regress.Recorded},
+		{Name: "serve/cache_evictions", Value: float64(st.CacheEvictions), Unit: "count", Gate: regress.Recorded},
+		{Name: "serve/pool_reuses", Value: float64(poolReuses), Unit: "count", Gate: regress.Recorded},
+		{Name: "serve/warm_speedup", Value: speedup(warm), Unit: "ratio", Gate: regress.Recorded},
+		{Name: "serve/cache_speedup", Value: speedup(cache), Unit: "ratio", Gate: regress.Recorded},
 	}
-	s.Paths = []PathStat{cold, warm, cache}
-	return s
-}
-
-// Render formats the suite for stdout.
-func (s Suite) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %10s %14s %14s %14s\n", "path", "sessions", "sessions/s", "p50 ms", "p99 ms")
-	for _, p := range s.Paths {
-		fmt.Fprintf(&b, "%-8s %10d %14.1f %14.3f %14.3f\n",
-			p.Path, p.Sessions, p.SessionsPerSec, p.P50Ns/1e6, p.P99Ns/1e6)
+	for _, p := range []pathStat{cold, warm, cache} {
+		pre := "serve/" + p.path + "/"
+		recs = append(recs,
+			regress.Record{Name: pre + "sessions", Value: float64(p.sessions), Unit: "count", Gate: regress.Min, Bound: 1},
+			regress.Record{Name: pre + "sessions_per_sec", Value: p.sessionsPerSec, Unit: "1/s", Gate: regress.Recorded},
+			regress.Record{Name: pre + "p50_ns", Value: p.p50Ns, Unit: "ns", Gate: regress.Recorded},
+			regress.Record{Name: pre + "p99_ns", Value: p.p99Ns, Unit: "ns", Gate: regress.Recorded})
 	}
-	fmt.Fprintf(&b, "fingerprint %s, deterministic %v, errors %d\n", s.Fingerprint, s.Deterministic, s.Errors)
-	fmt.Fprintf(&b, "cache: %d hits / %d misses / %d evictions; pool reuses: %d\n",
-		s.CacheHits, s.CacheMisses, s.CacheEvictions, s.PoolReuses)
-	fmt.Fprintf(&b, "speedup vs cold p50: warm %.2fx, cache %.2fx (recorded, not gated: 1-CPU hosts differ)\n",
-		s.WarmSpeedup, s.CacheSpeedup)
-	return b.String()
-}
-
-// JSON renders the artifact.
-func (s Suite) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return recs
 }

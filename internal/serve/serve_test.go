@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"spiderfs/internal/regress"
 	"spiderfs/internal/sweep"
 )
 
@@ -372,34 +373,38 @@ func TestServeConcurrentSessionsDeterministic(t *testing.T) {
 }
 
 // TestRunBenchSmoke exercises the bench harness with no clock: timing
-// fields stay zero but the gated fields must hold.
+// records stay zero but the gated records must hold.
 func TestRunBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench smoke is not short")
 	}
-	s := RunBench(nil)
-	if s.Schema != "spiderfs-serve-bench/1" {
-		t.Fatalf("schema %q", s.Schema)
+	recs := RunBench(nil)
+	val := func(name string) regress.Record {
+		t.Helper()
+		r, ok := regress.Find(recs, "serve/"+name)
+		if !ok {
+			t.Fatalf("no record serve/%s", name)
+		}
+		return r
 	}
-	if !s.Deterministic {
+	if val("deterministic").Value != 1 {
 		t.Fatal("cold and warm fingerprints diverged")
 	}
-	if s.Errors != 0 {
-		t.Fatalf("errors = %d", s.Errors)
+	if n := val("errors").Value; n != 0 {
+		t.Fatalf("errors = %v", n)
 	}
-	if s.Fingerprint == "" {
-		t.Fatal("empty probe fingerprint")
+	if fp := val("fingerprint"); len(fp.Text) != 16 || fp.Gate != regress.Exact {
+		t.Fatalf("probe fingerprint %+v", fp)
 	}
-	if s.CacheHits == 0 || s.PoolReuses == 0 {
-		t.Fatalf("bench paths not exercised: hits %d reuses %d", s.CacheHits, s.PoolReuses)
+	if val("cache_hits").Value == 0 || val("pool_reuses").Value == 0 {
+		t.Fatalf("bench paths not exercised: hits %v reuses %v", val("cache_hits").Value, val("pool_reuses").Value)
 	}
-	if len(s.Paths) != 3 {
-		t.Fatalf("paths = %d, want 3", len(s.Paths))
+	for _, path := range []string{"cold", "warm", "cache"} {
+		if r := val(path + "/sessions"); r.Value != benchSessions || r.Gate != regress.Min || r.Bound != 1 {
+			t.Fatalf("%s sessions %+v", path, r)
+		}
 	}
-	if _, err := s.JSON(); err != nil {
+	if _, err := regress.Encode(recs); err != nil {
 		t.Fatal(err)
-	}
-	if s.Render() == "" {
-		t.Fatal("empty render")
 	}
 }

@@ -94,16 +94,16 @@ func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, note func(strin
 	ops.Close()
 	eng.SetTrace(nil)
 
-	fp := newFingerprinter()
-	fp.word(th.Sum())
-	fp.word(eng.Fired())
-	fp.word(fab.Net.FlowsCompleted)
-	fp.float(fab.Net.BytesDelivered)
-	fp.word(fab.StalledSends)
-	fp.word(fab.DroppedFlows)
+	fp := sim.NewHasher()
+	fp.Word(th.Sum())
+	fp.Word(eng.Fired())
+	fp.Word(fab.Net.FlowsCompleted)
+	fp.Float(fab.Net.BytesDelivered)
+	fp.Word(fab.StalledSends)
+	fp.Word(fab.DroppedFlows)
 	return &Report{
 		Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
-		Fingerprint: hex(fp.sum()),
+		Fingerprint: fmt.Sprintf("%016x", fp.Sum()),
 		Metrics: []Metric{
 			{Name: "events", Value: float64(eng.Fired())},
 			{Name: "flows_completed", Value: float64(fab.Net.FlowsCompleted)},
@@ -129,7 +129,7 @@ func runChaos(spec Spec) *Report {
 	rep := chaos.Run(cfg)
 	return &Report{
 		Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
-		Fingerprint: hex(rep.Fingerprint()),
+		Fingerprint: fmt.Sprintf("%016x", rep.Fingerprint()),
 		Metrics: []Metric{
 			{Name: "availability", Value: rep.Availability},
 			{Name: "ost_downtime_s", Value: rep.OSTDowntime.Seconds()},
@@ -161,7 +161,7 @@ func runSweepEntry(spec Spec, catalog []sweep.Entry) (*Report, error) {
 		}
 		return &Report{
 			Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
-			Fingerprint: hex(res.Fingerprint()),
+			Fingerprint: fmt.Sprintf("%016x", res.Fingerprint()),
 			Metrics: []Metric{
 				{Name: "replicas", Value: float64(len(res.Replicas))},
 				{Name: "errors", Value: float64(res.Errors)},

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Event is a scheduled callback. The zero Event is invalid; events are
@@ -101,30 +102,58 @@ type Engine struct {
 // to remove the hook.
 func (e *Engine) SetTrace(fn func(at Time, seq uint64)) { e.trace = fn }
 
+// Hasher is an incremental 64-bit FNV-1a hash. Words and floats are
+// folded as their eight little-endian bytes, text as its raw bytes with
+// no length prefix, so a fold equals hash/fnv's New64a over the same
+// byte stream. The event-trace, campaign, sweep and session
+// fingerprints are all built on it.
+type Hasher uint64
+
+// NewHasher returns an empty hash (the FNV-1a offset basis).
+func NewHasher() Hasher { return 14695981039346656037 }
+
+// Word folds v's eight little-endian bytes.
+func (h *Hasher) Word(v uint64) {
+	for i := 0; i < 8; i++ {
+		*h ^= Hasher((v >> (8 * i)) & 0xff)
+		*h *= 1099511628211
+	}
+}
+
+// Float folds v's IEEE-754 bit pattern.
+func (h *Hasher) Float(v float64) { h.Word(math.Float64bits(v)) }
+
+// Text folds the bytes of s.
+func (h *Hasher) Text(s string) {
+	for i := 0; i < len(s); i++ {
+		*h ^= Hasher(s[i])
+		*h *= 1099511628211
+	}
+}
+
+// Sum returns the hash of everything folded so far.
+func (h Hasher) Sum() uint64 { return uint64(h) }
+
 // TraceHash folds an event trace into one comparable fingerprint
-// (FNV-1a over the (time, seq) stream). Feed Observe to SetTrace and
+// (a Hasher over the (time, seq) stream). Feed Observe to SetTrace and
 // compare Sum values across runs to audit determinism.
 type TraceHash struct {
-	h      uint64
+	h      Hasher
 	events uint64
 }
 
 // NewTraceHash returns an empty trace fingerprint.
-func NewTraceHash() *TraceHash { return &TraceHash{h: 14695981039346656037} }
+func NewTraceHash() *TraceHash { return &TraceHash{h: NewHasher()} }
 
 // Observe folds one fired event into the fingerprint.
 func (t *TraceHash) Observe(at Time, seq uint64) {
 	t.events++
-	for _, v := range [2]uint64{uint64(at), seq} {
-		for i := 0; i < 8; i++ {
-			t.h ^= (v >> (8 * i)) & 0xff
-			t.h *= 1099511628211
-		}
-	}
+	t.h.Word(uint64(at))
+	t.h.Word(seq)
 }
 
 // Sum returns the fingerprint of everything observed so far.
-func (t *TraceHash) Sum() uint64 { return t.h }
+func (t *TraceHash) Sum() uint64 { return t.h.Sum() }
 
 // Events returns how many fired events were observed.
 func (t *TraceHash) Events() uint64 { return t.events }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -494,5 +497,28 @@ func TestEngineRunForOverflowSaturates(t *testing.T) {
 	e.RunFor(-5)
 	if e.Now() != MaxTime {
 		t.Fatalf("clock moved on negative RunFor: %v", e.Now())
+	}
+}
+
+// Hasher must equal hash/fnv's FNV-1a over the same little-endian byte
+// stream: every committed fingerprint was produced one way or the other.
+func TestHasherMatchesFNV1a(t *testing.T) {
+	ref := fnv.New64a()
+	var b [8]byte
+	h := NewHasher()
+	for i, v := range []uint64{0, 1, 0xdeadbeefcafef00d, math.MaxUint64} {
+		h.Word(v)
+		binary.LittleEndian.PutUint64(b[:], v)
+		ref.Write(b[:])
+		f := float64(i) * -1.5
+		h.Float(f)
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		ref.Write(b[:])
+		s := "label-" + string(rune('a'+i))
+		h.Text(s)
+		ref.Write([]byte(s))
+	}
+	if h.Sum() != ref.Sum64() {
+		t.Fatalf("Hasher %016x != hash/fnv %016x", h.Sum(), ref.Sum64())
 	}
 }

@@ -11,14 +11,14 @@ import (
 // moments, extremes, median, and the 95% confidence-interval half-width
 // of the mean (Student-t, so small replica counts are honest).
 type MetricStats struct {
-	Name   string  `json:"name"`
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	Stddev float64 `json:"stddev"`
-	Min    float64 `json:"min"`
-	Max    float64 `json:"max"`
-	P50    float64 `json:"p50"`
-	CI95   float64 `json:"ci95_half"`
+	Name   string
+	N      int
+	Mean   float64
+	Stddev float64
+	Min    float64
+	Max    float64
+	P50    float64
+	CI95   float64
 }
 
 // Aggregate merges same-named metrics across replicas. Metric names

@@ -21,12 +21,11 @@ package sweep
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"runtime"
 	"sync"
 
 	"spiderfs/internal/rng"
+	"spiderfs/internal/sim"
 )
 
 // Metric is one named scalar a replica records. Metrics are kept in
@@ -228,28 +227,21 @@ func runReplica(r *Rep, body Body) (out Replica) {
 // replica's seed, params, metrics, and error in index order. Serial and
 // parallel runs of the same config must agree.
 func (res *Result) Fingerprint() uint64 {
-	h := fnv.New64a()
-	w64 := func(v uint64) {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	h.Write([]byte(res.Label))
-	w64(res.Seed)
+	h := sim.NewHasher()
+	h.Text(res.Label)
+	h.Word(res.Seed)
 	for _, r := range res.Replicas {
-		w64(uint64(int64(r.Index)))
-		w64(r.Seed)
+		h.Word(uint64(int64(r.Index)))
+		h.Word(r.Seed)
 		for _, p := range r.Params {
-			h.Write([]byte(p.Name))
-			w64(math.Float64bits(p.Value))
+			h.Text(p.Name)
+			h.Float(p.Value)
 		}
 		for _, m := range r.Metrics {
-			h.Write([]byte(m.Name))
-			w64(math.Float64bits(m.Value))
+			h.Text(m.Name)
+			h.Float(m.Value)
 		}
-		h.Write([]byte(r.Err))
+		h.Text(r.Err)
 	}
-	return h.Sum64()
+	return h.Sum()
 }

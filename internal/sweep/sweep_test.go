@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"spiderfs/internal/regress"
 	"spiderfs/internal/sim"
 )
 
@@ -179,34 +180,40 @@ func TestAggregateStatsAndOrder(t *testing.T) {
 func TestRunSuiteDoubleRunAndClock(t *testing.T) {
 	var tick int64
 	clock := func() int64 { tick += 1000; return tick }
-	s, err := RunSuite([]Entry{
+	recs, err := RunSuite("sweep", []Entry{
 		{Label: "a", Replicas: 6, Seed: 11, Body: simBody},
 		{Label: "b", Replicas: 4, Seed: 12, Body: simBody},
 	}, 4, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Sweeps) != 2 {
-		t.Fatalf("%d records, want 2", len(s.Sweeps))
+	get := func(name string) regress.Record {
+		t.Helper()
+		r, ok := regress.Find(recs, name)
+		if !ok {
+			t.Fatalf("no record %s", name)
+		}
+		return r
 	}
-	for _, r := range s.Sweeps {
-		if !r.Deterministic {
-			t.Errorf("%s: double-run not deterministic", r.Label)
+	for _, label := range []string{"a", "b"} {
+		p := "sweep/" + label + "/"
+		if r := get(p + "deterministic"); r.Value != 1 || r.Gate != regress.Min || r.Bound != 1 {
+			t.Errorf("%s: deterministic record %+v", label, r)
 		}
-		if r.SerialNs != 1000 || r.ParallelNs != 1000 || r.Speedup != 1 {
-			t.Errorf("%s: clock plumbing wrong: %+v", r.Label, r)
+		if get(p+"serial_ns").Value != 1000 || get(p+"parallel_ns").Value != 1000 || get(p+"speedup").Value != 1 {
+			t.Errorf("%s: clock plumbing wrong", label)
 		}
-		if len(r.Fingerprint) != 16 {
-			t.Errorf("%s: fingerprint %q", r.Label, r.Fingerprint)
+		if r := get(p + "fingerprint"); len(r.Text) != 16 || r.Gate != regress.Exact {
+			t.Errorf("%s: fingerprint %+v", label, r)
 		}
-		if len(r.Metrics) == 0 {
-			t.Errorf("%s: no merged metrics", r.Label)
+		if r := get(p + "errors"); r.Value != 0 || r.Gate != regress.Max {
+			t.Errorf("%s: errors %+v", label, r)
+		}
+		if r := get(p + "sum/mean"); r.Gate != regress.Band || r.Bound != meanTol {
+			t.Errorf("%s: metric mean %+v", label, r)
 		}
 	}
-	if _, err := s.JSON(); err != nil {
+	if _, err := regress.Encode(recs); err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(s.Render(), "deterministic=true") {
-		t.Error("render omits determinism evidence")
 	}
 }

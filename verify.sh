@@ -9,6 +9,9 @@
 #   ./verify.sh test    — shuffled full test run + determinism double-run
 #   ./verify.sh race    — race-mode runs of the concurrency-adjacent packages
 #   ./verify.sh bench   — one-iteration benchmark smoke
+#   ./verify.sh benchcheck — regenerate the deterministic BENCH_*.json
+#                         artifacts into fresh-bench/ and gate them
+#                         against the committed copies
 #   ./verify.sh all     — all of the above, in order
 set -eu
 
@@ -70,21 +73,41 @@ stage_bench() {
 	set +x
 }
 
+stage_benchcheck() {
+	# The sweep, integrity, serve and ledger suites are deterministic in
+	# every gated record (fingerprints, metric means, Merkle roots), so a
+	# fresh run on any host must pass against the committed artifacts;
+	# their timings are recorded, not gated. The netsim and spantrace
+	# suites are wall-clock-bound and too slow and noisy to regenerate
+	# per change; their artifacts are gated when regenerated locally.
+	# fresh-bench/ is scratch output, recreated on every run.
+	rm -rf fresh-bench
+	mkdir fresh-bench
+	set -x
+	for suite in sweep integrity serve ledger; do
+		go run ./cmd/benchsuite -suite "$suite" -out "fresh-bench/BENCH_$suite.json" >/dev/null
+	done
+	go run ./cmd/benchsuite -check -fresh fresh-bench
+	set +x
+}
+
 case "$stage" in
 build) stage_build ;;
 lint) stage_lint ;;
 test) stage_test ;;
 race) stage_race ;;
 bench) stage_bench ;;
+benchcheck) stage_benchcheck ;;
 all)
 	stage_build
 	stage_lint
 	stage_test
 	stage_race
 	stage_bench
+	stage_benchcheck
 	;;
 *)
-	echo "usage: ./verify.sh [build|lint|test|race|bench|all]" >&2
+	echo "usage: ./verify.sh [build|lint|test|race|bench|benchcheck|all]" >&2
 	exit 2
 	;;
 esac
