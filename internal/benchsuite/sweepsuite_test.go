@@ -34,9 +34,6 @@ func TestSweepSuiteDeterministic(t *testing.T) {
 	}
 	for _, label := range []string{"e3-slowdisk", "e13-purge", "e18-chaos"} {
 		p := "sweep/" + label + "/"
-		if r, _ := regress.Find(a, p+"deterministic"); r.Value != 1 {
-			t.Errorf("%s: serial and parallel runs diverged", label)
-		}
 		fa, ok := regress.Find(a, p+"fingerprint")
 		fb, _ := regress.Find(b, p+"fingerprint")
 		if !ok || fa.Text != fb.Text {

@@ -49,7 +49,6 @@ func Spider2ControllerUpgraded() ControllerConfig {
 type Controller struct {
 	ID  int
 	cfg ControllerConfig
-	eng *sim.Engine
 	srv *sim.Server
 
 	dirty   int64 // bytes admitted but not yet flushed to disk
@@ -65,7 +64,7 @@ type Controller struct {
 
 type ctrlWaiter struct {
 	size int64
-	fn   func()
+	done func()
 }
 
 // NewController builds a controller couplet on eng.
@@ -73,7 +72,7 @@ func NewController(eng *sim.Engine, id int, cfg ControllerConfig) *Controller {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	return &Controller{ID: id, cfg: cfg, eng: eng, srv: sim.NewServer(eng, "ctrl", cfg.Slots)}
+	return &Controller{ID: id, cfg: cfg, srv: sim.NewServer(eng, "ctrl", cfg.Slots)}
 }
 
 // Config returns the controller configuration.
@@ -104,11 +103,22 @@ func (c *Controller) AdmitWrite(size int64, done func()) {
 	if size <= 0 {
 		panic("lustre: controller write of non-positive size") //simlint:allow no-library-panic caller-contract assertion: invalid input is a caller bug, not a runtime failure
 	}
-	if c.dirty+size > c.cfg.CacheBytes && c.dirty > 0 {
+	if !c.fits(size) {
 		c.CacheStalls++
-		c.waiters = append(c.waiters, ctrlWaiter{size: size, fn: func() { c.AdmitWrite(size, done) }})
+		c.waiters = append(c.waiters, ctrlWaiter{size: size, done: done})
 		return
 	}
+	c.admit(size, done)
+}
+
+// fits reports whether size more dirty bytes fit in cache. An empty
+// cache admits any write, so an oversized one cannot stall forever.
+func (c *Controller) fits(size int64) bool {
+	return c.dirty == 0 || c.dirty+size <= c.cfg.CacheBytes
+}
+
+// admit takes size bytes into cache and services the request.
+func (c *Controller) admit(size int64, done func()) {
 	c.dirty += size
 	if c.dirty > c.PeakDirty {
 		c.PeakDirty = c.dirty
@@ -136,13 +146,12 @@ func (c *Controller) Flushed(size int64) {
 	if c.dirty < 0 {
 		c.dirty = 0
 	}
-	for len(c.waiters) > 0 {
+	// Admit from the head while the head fits. Each admission adds to
+	// dirty before the next waiter is checked, so only waiters that get
+	// in leave the queue, in arrival order.
+	for len(c.waiters) > 0 && c.fits(c.waiters[0].size) {
 		w := c.waiters[0]
-		if c.dirty+w.size > c.cfg.CacheBytes && c.dirty > 0 {
-			break
-		}
 		c.waiters = c.waiters[1:]
-		// Re-run the admission on a fresh event to keep stack depth flat.
-		c.eng.After(0, w.fn)
+		c.admit(w.size, w.done)
 	}
 }

@@ -1,6 +1,7 @@
 package lustre
 
 import (
+	"fmt"
 	"testing"
 
 	"spiderfs/internal/rng"
@@ -62,25 +63,40 @@ func TestControllerOversizeWriteAdmitted(t *testing.T) {
 	}
 }
 
+// Stalled writers are admitted from the head of the queue, in arrival
+// order, and only as many as the freed space holds: a waiter that still
+// does not fit stays queued without being woken and counted again.
 func TestControllerWaitersDrainInOrder(t *testing.T) {
-	eng := sim.NewEngine()
-	ctrl := NewController(eng, 0, ControllerConfig{
-		Bps: 1e12, FixedPerRPC: sim.Microsecond, Slots: 4, CacheBytes: 2 << 20,
-	})
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		ctrl.AdmitWrite(1<<20, func() { order = append(order, i) })
-	}
-	eng.Run()
-	// First two admitted; remaining stalled.
-	if ctrl.CacheStalls != 2 {
-		t.Fatalf("stalls = %d, want 2", ctrl.CacheStalls)
-	}
-	ctrl.Flushed(2 << 20)
-	eng.Run()
-	if len(order) != 4 {
-		t.Fatalf("completions = %v", order)
+	for _, c := range []struct {
+		name    string
+		flushes []int64
+		want    [][]int // completions after each flush
+	}{
+		{"room for both", []int64{2 << 20}, [][]int{{0, 1, 2, 3}}},
+		{"room for one", []int64{1 << 20, 1 << 20}, [][]int{{0, 1, 2}, {0, 1, 2, 3}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			ctrl := NewController(eng, 0, ControllerConfig{
+				Bps: 1e12, FixedPerRPC: sim.Microsecond, Slots: 4, CacheBytes: 2 << 20,
+			})
+			var order []int
+			for i := 0; i < 4; i++ {
+				ctrl.AdmitWrite(1<<20, func() { order = append(order, i) })
+			}
+			eng.Run()
+			// First two admitted; remaining stalled.
+			if ctrl.CacheStalls != 2 {
+				t.Fatalf("stalls = %d, want 2", ctrl.CacheStalls)
+			}
+			for k, size := range c.flushes {
+				ctrl.Flushed(size)
+				eng.Run()
+				if fmt.Sprint(order) != fmt.Sprint(c.want[k]) || ctrl.CacheStalls != 2 {
+					t.Fatalf("flush %d: completions = %v, stalls = %d; want %v, 2", k, order, ctrl.CacheStalls, c.want[k])
+				}
+			}
+		})
 	}
 }
 

@@ -45,6 +45,9 @@ func TestSpanSuiteQuickRun(t *testing.T) {
 	if untraced <= 0 || traced <= 0 {
 		t.Fatalf("missing measurements: untraced %v, traced %v", untraced, traced)
 	}
+	if r := val("spantrace/overhead_pairs"); r.Value != 1 || r.Gate != regress.Recorded {
+		t.Fatalf("overhead pairs %+v, want 1 recorded at smoke scale", r)
+	}
 	if r := val("spantrace/overhead_frac"); r.Gate != regress.Max || r.Bound != 0.05 {
 		t.Fatalf("overhead gate %+v, want max 0.05", r)
 	}

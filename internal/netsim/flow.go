@@ -316,7 +316,7 @@ func (n *Network) reassign(flows []*Flow) {
 		}
 		// Move the existing completion event when possible: same FIFO
 		// semantics as cancel+reschedule (fresh sequence number), but no
-		// allocation and no canceled tombstone left in the event heap.
+		// new event allocation.
 		if f.completion != nil && n.eng.Reschedule(f.completion, at) {
 			continue
 		}

@@ -195,12 +195,9 @@ func TestPerturbedSweepFails(t *testing.T) {
 
 func TestSweepStructuralRegressions(t *testing.T) {
 	recs := load(t, "BENCH_sweep.json")
-	wantPolicy(t, recs, "sweep/e3-slowdisk/deterministic", Min, 1)
 	wantPolicy(t, recs, "sweep/e3-slowdisk/errors", Max, 0)
-	broken := edit(recs, "sweep/e3-slowdisk/deterministic", set(0))
-	broken = edit(broken, "sweep/e3-slowdisk/errors", set(3))
-	wantFindings(t, "broken", compare(t, "BENCH_sweep.json", recs, broken),
-		"sweep/e3-slowdisk/deterministic", "sweep/e3-slowdisk/errors")
+	broken := edit(recs, "sweep/e3-slowdisk/errors", set(3))
+	wantFindings(t, "broken", compare(t, "BENCH_sweep.json", recs, broken), "sweep/e3-slowdisk/errors")
 
 	gone := edit(recs, "sweep/e13-purge/", drop)
 	out := compare(t, "BENCH_sweep.json", recs, gone)
@@ -237,7 +234,6 @@ func TestIntegrityGates(t *testing.T) {
 	wantPolicy(t, recs, "integrity/scrub_overhead_frac", Max, 0.25)
 	for _, label := range []string{"e19-scrub-off", "e19-scrub-default", "e19-scrub-slow"} {
 		wantPolicy(t, recs, "integrity/"+label+"/fingerprint", Exact, 0)
-		wantPolicy(t, recs, "integrity/"+label+"/deterministic", Min, 1)
 		wantPolicy(t, recs, "integrity/"+label+"/errors", Max, 0)
 	}
 

@@ -1,77 +1,39 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
 
 // Event is a scheduled callback. The zero Event is invalid; events are
-// created by Engine.At and Engine.After. An Event may be canceled before
-// it fires; cancellation is cheap (lazy deletion from the heap).
+// created by Engine.At and Engine.After. An event is pending exactly
+// while it sits in its engine's heap: firing, Cancel and Engine.Reset
+// all take it out.
 type Event struct {
-	t        Time
-	seq      uint64
-	fn       func()
-	eng      *Engine
-	canceled bool
-	fired    bool
-	idx      int // position in the heap, -1 once popped
+	t   Time
+	seq uint64
+	fn  func()
+	eng *Engine
+	idx int // position in the heap; -1 once fired, canceled or reset
 }
 
 // Time returns when the event is (or was) scheduled to fire.
 func (e *Event) Time() Time { return e.t }
 
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled event is a no-op. Cancel reports whether the event was
-// still pending. The canceled event stays in the heap as a tombstone
-// (lazy deletion); the engine's live-event accounting and tombstone
-// reaping keep Pending and heap size honest regardless.
+// Cancel prevents the event from firing, removing it from the heap in
+// O(log n). Canceling an already-fired or already-canceled event is a
+// no-op. Cancel reports whether the event was still pending.
 func (e *Event) Cancel() bool {
-	if e == nil || e.fired || e.canceled {
+	if !e.Pending() {
 		return false
 	}
-	e.canceled = true
+	e.eng.remove(e.idx)
 	e.fn = nil
-	if e.eng != nil {
-		e.eng.live--
-		e.eng.tomb++
-		e.eng.maybeReap()
-	}
 	return true
 }
 
 // Pending reports whether the event is still waiting to fire.
-func (e *Event) Pending() bool { return e != nil && !e.fired && !e.canceled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
-}
+func (e *Event) Pending() bool { return e != nil && e.idx >= 0 }
 
 // Engine is a discrete-event simulation executive. Events scheduled for
 // the same instant fire in scheduling order (FIFO tie-break), which makes
@@ -83,14 +45,12 @@ func (h *eventHeap) Pop() any {
 // goroutine driving Run/Step. Parallel harnesses (internal/sweep) give
 // each worker its own engine and never share one across goroutines.
 type Engine struct {
-	now     Time
-	seq     uint64
-	heap    eventHeap
-	fired   uint64
-	live    int // scheduled, uncanceled, unfired events in the heap
-	tomb    int // canceled tombstones still occupying heap slots
-	stopped bool
-	trace   func(at Time, seq uint64)
+	now      Time
+	seq      uint64
+	heap     []*Event // binary min-heap on (t, seq)
+	executed uint64
+	stopped  bool
+	trace    func(at Time, seq uint64)
 }
 
 // SetTrace installs a hook that observes every fired event (its
@@ -165,41 +125,74 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
+func (e *Engine) Fired() uint64 { return e.executed }
 
-// Pending returns the number of live events still scheduled. Canceled
-// tombstones awaiting lazy deletion are not counted, so Pending() == 0
-// means the engine truly has no work.
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events still scheduled.
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// reapFloor is the heap size below which tombstone reaping is not worth
-// the heapify; lazy deletion handles small heaps fine.
-const reapFloor = 64
+func (e *Engine) less(i, j int) bool {
+	a, b := e.heap[i], e.heap[j]
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
 
-// maybeReap compacts the heap when canceled tombstones outnumber live
-// events and the heap is large enough to matter. Compaction preserves
-// each surviving event's (time, seq) key, so the pop order — and with
-// it every trace fingerprint — is unchanged.
-func (e *Engine) maybeReap() {
-	if e.tomb <= e.live || len(e.heap) < reapFloor {
-		return
-	}
-	kept := e.heap[:0]
-	for _, ev := range e.heap {
-		if ev.canceled {
-			ev.idx = -1
-			continue
+func (e *Engine) swap(i, j int) {
+	h := e.heap
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
+
+func (e *Engine) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !e.less(j, i) {
+			return
 		}
-		ev.idx = len(kept)
-		kept = append(kept, ev)
+		e.swap(i, j)
+		j = i
 	}
-	// Zero the tail so dropped tombstones don't pin their callbacks.
-	for i := len(kept); i < len(e.heap); i++ {
-		e.heap[i] = nil
+}
+
+// down sifts the event at i toward the leaves and reports whether it
+// moved.
+func (e *Engine) down(i int) bool {
+	i0, n := i, len(e.heap)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && e.less(r, j) {
+			j = r
+		}
+		if !e.less(j, i) {
+			break
+		}
+		e.swap(i, j)
+		i = j
 	}
-	e.heap = kept
-	e.tomb = 0
-	heap.Init(&e.heap)
+	return i > i0
+}
+
+// fix restores heap order after the key of the event at i changed.
+func (e *Engine) fix(i int) {
+	if !e.down(i) {
+		e.up(i)
+	}
+}
+
+// remove takes the event at heap position i out of the heap.
+func (e *Engine) remove(i int) *Event {
+	n := len(e.heap) - 1
+	ev := e.heap[i]
+	e.swap(i, n)
+	e.heap[n] = nil
+	e.heap = e.heap[:n]
+	if i < n {
+		e.fix(i)
+	}
+	ev.idx = -1
+	return ev
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -208,22 +201,22 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //simlint:allow no-library-panic causality assertion: scheduling into the past is a model bug
 	}
-	ev := &Event{t: t, seq: e.seq, fn: fn, eng: e}
+	ev := &Event{t: t, seq: e.seq, fn: fn, eng: e, idx: len(e.heap)}
 	e.seq++
-	e.live++
-	heap.Push(&e.heap, ev)
+	e.heap = append(e.heap, ev)
+	e.up(ev.idx)
 	return ev
 }
 
 // Reschedule moves a still-pending event to absolute time t, reusing
 // its allocation and callback. The event receives a fresh sequence
 // number, so FIFO tie-breaking behaves exactly as if the event had been
-// canceled and newly scheduled — but without allocating a replacement
-// or leaving a canceled tombstone in the heap. It reports whether the
-// move happened; a fired or canceled event is left untouched (schedule
-// a new one instead). Like At, moving an event into the past panics.
+// canceled and newly scheduled — but without allocating a replacement.
+// It reports whether the move happened; a fired or canceled event is
+// left untouched (schedule a new one instead). Like At, moving an event
+// into the past panics.
 func (e *Engine) Reschedule(ev *Event, t Time) bool {
-	if !ev.Pending() || ev.idx < 0 {
+	if !ev.Pending() {
 		return false
 	}
 	if t < e.now {
@@ -232,7 +225,7 @@ func (e *Engine) Reschedule(ev *Event, t Time) bool {
 	ev.t = t
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.heap, ev.idx)
+	e.fix(ev.idx)
 	return true
 }
 
@@ -268,25 +261,19 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // queue is empty). Step ignores the stopped flag; it fires exactly one
 // event regardless.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ev := heap.Pop(&e.heap).(*Event)
-		if ev.canceled {
-			e.tomb--
-			continue
-		}
-		e.now = ev.t
-		ev.fired = true
-		fn := ev.fn
-		ev.fn = nil
-		e.live--
-		e.fired++
-		if e.trace != nil {
-			e.trace(ev.t, ev.seq)
-		}
-		fn()
-		return true
+	if len(e.heap) == 0 {
+		return false
 	}
-	return false
+	ev := e.remove(0)
+	e.now = ev.t
+	fn := ev.fn
+	ev.fn = nil
+	e.executed++
+	if e.trace != nil {
+		e.trace(ev.t, ev.seq)
+	}
+	fn()
+	return true
 }
 
 // Run executes events until the queue is empty or Stop is called. If the
@@ -304,8 +291,7 @@ func (e *Engine) Run() {
 // and a later resume continues exactly where the run halted.
 func (e *Engine) RunUntil(t Time) {
 	for !e.stopped {
-		next := e.peek()
-		if next == nil || next.t > t {
+		if len(e.heap) == 0 || e.heap[0].t > t {
 			// Drained normally: the window is fully processed.
 			if e.now < t {
 				e.now = t
@@ -333,50 +319,34 @@ func (e *Engine) RunFor(d Time) {
 }
 
 // Reset returns the engine to its just-constructed state: the clock at
-// zero, no scheduled events, no canceled-tombstone debt, counters
-// cleared, the sticky stop flag re-armed, and any trace hook removed.
-// This is the warm-pool seam (internal/serve): a model stack built on a
-// reset engine must reproduce a fresh engine's event-trace fingerprint
-// bit for bit, because nothing — sequence numbers included — survives.
+// zero, no scheduled events, counters cleared, the sticky stop flag
+// re-armed, and any trace hook removed. This is the warm-pool seam
+// (internal/serve): a model stack built on a reset engine must
+// reproduce a fresh engine's event-trace fingerprint bit for bit,
+// because nothing — sequence numbers included — survives.
 //
-// Events still in the heap are tombstoned in place (callback and engine
-// references dropped) so a stale *Event held by old model code becomes
-// permanently non-pending and its Cancel a no-op, rather than a
-// corruption of the next run's live/tomb accounting.
+// Events still in the heap leave it with their callbacks dropped, so a
+// stale *Event held by old model code is permanently non-pending and
+// its Cancel a no-op.
 func (e *Engine) Reset() {
-	for _, ev := range e.heap {
-		ev.canceled = true
-		ev.fn = nil
-		ev.eng = nil
+	for i, ev := range e.heap {
 		ev.idx = -1
+		ev.fn = nil
+		e.heap[i] = nil
 	}
 	e.heap = e.heap[:0]
 	e.now = 0
 	e.seq = 0
-	e.fired = 0
-	e.live = 0
-	e.tomb = 0
+	e.executed = 0
 	e.stopped = false
 	e.trace = nil
-}
-
-func (e *Engine) peek() *Event {
-	for len(e.heap) > 0 && e.heap[0].canceled {
-		heap.Pop(&e.heap)
-		e.tomb--
-	}
-	if len(e.heap) == 0 {
-		return nil
-	}
-	return e.heap[0]
 }
 
 // NextEventTime returns the timestamp of the next pending event and true,
 // or zero and false if the queue is empty.
 func (e *Engine) NextEventTime() (Time, bool) {
-	ev := e.peek()
-	if ev == nil {
+	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return ev.t, true
+	return e.heap[0].t, true
 }

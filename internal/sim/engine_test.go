@@ -187,8 +187,8 @@ func TestEngineRunUntilStopKeepsClock(t *testing.T) {
 	}
 }
 
-// Pending counts live events only; canceled tombstones are excluded and
-// eventually reaped so the heap cannot grow without bound.
+// Pending counts only events still scheduled, and Cancel takes an event
+// out of the heap at once, so mass cancellation cannot grow it.
 func TestEnginePendingExcludesCanceled(t *testing.T) {
 	e := NewEngine()
 	keep := e.At(100, func() {})
@@ -205,13 +205,11 @@ func TestEnginePendingExcludesCanceled(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d after cancels, want 1", e.Pending())
 	}
-	// Tombstones dominate (1000 canceled vs 1 live): reaping must have
-	// compacted the heap rather than leaving lazy deletion to Run.
-	if len(e.heap) > reapFloor {
-		t.Fatalf("heap holds %d entries after cancels, want <= %d (reaped)", len(e.heap), reapFloor)
+	if len(e.heap) != 1 {
+		t.Fatalf("heap holds %d entries after cancels, want 1", len(e.heap))
 	}
 	if !keep.Pending() {
-		t.Fatal("live event lost by reaping")
+		t.Fatal("surviving event lost by cancellation")
 	}
 	e.Run()
 	if e.Pending() != 0 || e.Now() != 100 {
@@ -219,11 +217,12 @@ func TestEnginePendingExcludesCanceled(t *testing.T) {
 	}
 }
 
-// Reaping must not disturb pop order: interleave schedules and cancels
-// so compaction happens mid-stream, then check the survivors fire in
-// (time, seq) order with the same trace as an unreaped twin.
-func TestEngineReapPreservesOrder(t *testing.T) {
-	run := func(forceReap bool) (order []Time, trace uint64) {
+// Removing events from the middle of the heap must not disturb pop
+// order: interleave schedules and cancels, then cancel a large burst,
+// and check the survivors fire in (time, seq) order with the same trace
+// as a twin that never scheduled the burst.
+func TestEngineCancelBurstPreservesOrder(t *testing.T) {
+	run := func(burst bool) (order []Time, trace uint64) {
 		e := NewEngine()
 		th := NewTraceHash()
 		e.SetTrace(th.Observe)
@@ -234,8 +233,7 @@ func TestEngineReapPreservesOrder(t *testing.T) {
 				e.At(at+1, func() {}).Cancel()
 			}
 		}
-		if forceReap {
-			// Cancel a burst so tombstones outnumber live events.
+		if burst {
 			var evs []*Event
 			for i := 0; i < 2000; i++ {
 				evs = append(evs, e.At(Time(i), func() {}))
@@ -250,7 +248,7 @@ func TestEngineReapPreservesOrder(t *testing.T) {
 	gotOrder, gotTrace := run(true)
 	wantOrder, wantTrace := run(false)
 	if gotTrace != wantTrace {
-		t.Fatalf("trace diverged under reaping: %x vs %x", gotTrace, wantTrace)
+		t.Fatalf("trace diverged under a cancel burst: %x vs %x", gotTrace, wantTrace)
 	}
 	if len(gotOrder) != len(wantOrder) {
 		t.Fatalf("fired %d events, want %d", len(gotOrder), len(wantOrder))
@@ -263,8 +261,8 @@ func TestEngineReapPreservesOrder(t *testing.T) {
 }
 
 // Cancel and Reschedule invoked from inside a firing callback: the
-// in-flight event has been popped (idx == -1) and marked fired, so both
-// must refuse it, while other pending events stay fully mutable.
+// in-flight event has been popped (idx == -1), so both must refuse it,
+// while other pending events stay fully mutable.
 func TestEngineCancelRescheduleFromCallback(t *testing.T) {
 	e := NewEngine()
 	var self, other *Event
@@ -431,7 +429,7 @@ func TestEngineResetDeterministicReuse(t *testing.T) {
 	fresh := runTracedModel(NewEngine(), 7)
 
 	// Dirty an engine thoroughly — mid-run stop, pending events, trace
-	// hook, tombstones — then Reset and rerun the same model.
+	// hook — then Reset and rerun the same model.
 	e := NewEngine()
 	e.SetTrace(func(Time, uint64) {})
 	for i := 0; i < 100; i++ {
@@ -466,12 +464,15 @@ func TestEngineResetStaleCancelDoesNotCorruptCounters(t *testing.T) {
 	e := NewEngine()
 	stale := e.At(10, func() {})
 	e.Reset()
-	stale.Cancel() // must not decrement the new run's live count
-	ev := e.At(5, func() {})
+	// The new event takes the heap slot the stale one held; a stale
+	// Cancel must not remove it.
+	e.At(5, func() {})
+	if stale.Cancel() {
+		t.Fatal("canceling a pre-reset event should be a no-op")
+	}
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
-	_ = ev
 	e.Run()
 	if e.Fired() != 1 {
 		t.Fatalf("fired = %d, want 1", e.Fired())

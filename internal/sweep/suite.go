@@ -23,13 +23,12 @@ type Entry struct {
 
 // RunSuite runs every entry twice — serially (1 worker) and on a
 // workers-wide pool — verifies the merged reports are byte-identical,
-// and returns bench records named suite/<label>/...: the double-run
-// evidence, the fingerprint, the replica error count and per-metric
-// statistics (means band-gated, the rest recorded), plus the
-// serial-vs-parallel timings (recorded: on a single-CPU host the
-// speedup is ~1 by physics, and the cpus record says which case this
-// is). It errors if any entry's double-run diverges: a
-// nondeterministic sweep is a broken sweep, not a slow one.
+// and returns bench records named suite/<label>/...: the fingerprint,
+// the replica error count and per-metric statistics (means band-gated,
+// the rest recorded), plus the serial-vs-parallel timings (recorded: on
+// a single-CPU host the speedup is ~1 by physics, and the cpus record
+// says which case this is). It errors if any entry's double-run
+// diverges: a nondeterministic sweep is a broken sweep, not a slow one.
 func RunSuite(suite string, entries []Entry, workers int, clock Clock) ([]regress.Record, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -67,7 +66,6 @@ func RunSuite(suite string, entries []Entry, workers int, clock Clock) ([]regres
 			speedup = float64(t1-t0) / float64(t2-t1)
 		}
 		recs = append(recs,
-			regress.Record{Name: p + "deterministic", Value: 1, Gate: regress.Min, Bound: 1},
 			regress.Record{Name: p + "fingerprint", Text: fmt.Sprintf("%016x", parallel.Fingerprint()), Gate: regress.Exact},
 			regress.Record{Name: p + "errors", Value: float64(parallel.Errors), Unit: "count", Gate: regress.Max},
 			regress.Record{Name: p + "replicas", Value: float64(e.Replicas), Unit: "count", Gate: regress.Recorded},

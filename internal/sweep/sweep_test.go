@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spiderfs/internal/regress"
@@ -197,9 +198,6 @@ func TestRunSuiteDoubleRunAndClock(t *testing.T) {
 	}
 	for _, label := range []string{"a", "b"} {
 		p := "sweep/" + label + "/"
-		if r := get(p + "deterministic"); r.Value != 1 || r.Gate != regress.Min || r.Bound != 1 {
-			t.Errorf("%s: deterministic record %+v", label, r)
-		}
 		if get(p+"serial_ns").Value != 1000 || get(p+"parallel_ns").Value != 1000 || get(p+"speedup").Value != 1 {
 			t.Errorf("%s: clock plumbing wrong", label)
 		}
@@ -215,5 +213,20 @@ func TestRunSuiteDoubleRunAndClock(t *testing.T) {
 	}
 	if _, err := regress.Encode(recs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A body whose output leaks state across calls makes the serial and the
+// parallel run disagree; RunSuite must refuse it rather than emit
+// records.
+func TestRunSuiteRejectsDivergence(t *testing.T) {
+	var calls atomic.Int64
+	leaky := func(r *Rep) error {
+		r.Record("calls", float64(calls.Add(1)))
+		return nil
+	}
+	recs, err := RunSuite("sweep", []Entry{{Label: "leaky", Replicas: 3, Seed: 1, Body: leaky}}, 2, nil)
+	if err == nil || !strings.Contains(err.Error(), "differ") {
+		t.Fatalf("RunSuite = %d records, err %v; want a divergence error", len(recs), err)
 	}
 }

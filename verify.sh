@@ -8,6 +8,8 @@
 #   ./verify.sh lint    — simlint invariant suite + suppression-debt gate
 #   ./verify.sh test    — shuffled full test run + determinism double-run
 #   ./verify.sh race    — race-mode runs of the concurrency-adjacent packages
+#   ./verify.sh fuzz    — 10 s of coverage-guided fuzzing of the event
+#                         engine against its reference model
 #   ./verify.sh bench   — one-iteration benchmark smoke
 #   ./verify.sh benchcheck — regenerate the deterministic BENCH_*.json
 #                         artifacts into fresh-bench/ and gate them
@@ -63,6 +65,16 @@ stage_race() {
 	set +x
 }
 
+stage_fuzz() {
+	set -x
+	# FuzzEngineOps checks sim.Engine against a naive sorted-slice model.
+	# Its checked-in seed corpus already runs in stage_test; this stage
+	# searches beyond it. A failing input is written under
+	# internal/sim/testdata/fuzz/FuzzEngineOps/, ready to commit.
+	go test -run '^$' -fuzz '^FuzzEngineOps$' -fuzztime 10s ./internal/sim/
+	set +x
+}
+
 stage_bench() {
 	set -x
 	# Benchmark smoke: one iteration of every netsim/sim benchmark,
@@ -96,6 +108,7 @@ build) stage_build ;;
 lint) stage_lint ;;
 test) stage_test ;;
 race) stage_race ;;
+fuzz) stage_fuzz ;;
 bench) stage_bench ;;
 benchcheck) stage_benchcheck ;;
 all)
@@ -103,11 +116,12 @@ all)
 	stage_lint
 	stage_test
 	stage_race
+	stage_fuzz
 	stage_bench
 	stage_benchcheck
 	;;
 *)
-	echo "usage: ./verify.sh [build|lint|test|race|bench|benchcheck|all]" >&2
+	echo "usage: ./verify.sh [build|lint|test|race|fuzz|bench|benchcheck|all]" >&2
 	exit 2
 	;;
 esac
