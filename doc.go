@@ -6,6 +6,8 @@
 // chain on top.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record. The benchmarks in bench_test.go regenerate
-// every figure and quantitative claim in the paper's evaluation.
+// paper-vs-measured record. Every figure and quantitative claim in the
+// paper's evaluation is one row of the registry in internal/experiments:
+// BenchmarkPaper regenerates each row's table, and TestPaperClaims gates
+// each row's claim in every `go test` run.
 package spiderfs

@@ -211,6 +211,21 @@ func QuickConfig(seed uint64) Config {
 	return c
 }
 
+// CampaignConfig is the campaign `spidersim chaos` and chaos service
+// sessions run: the quick 1-day small center, or the 7-day full-scale
+// campaign when full is set, with the window overridden to days
+// simulated days when days is positive.
+func CampaignConfig(seed uint64, full bool, days int) Config {
+	c := QuickConfig(seed)
+	if full {
+		c = DefaultConfig(seed)
+	}
+	if days > 0 {
+		c.Duration = sim.Time(days) * sim.Day
+	}
+	return c
+}
+
 // Ablated returns the configuration with both funded resilience
 // features disarmed — the baseline for the outage-ledger comparison.
 func (c Config) Ablated() Config {

@@ -168,9 +168,17 @@ func Compare(name string, committed, fresh []byte) ([]Finding, error) {
 	var out []Finding
 	for _, cr := range c.Records {
 		fr, ok := byName[cr.Name]
-		kind, detail, err := check(cr, fr, ok)
+		detail, err := Check(cr, fr)
 		if err != nil {
 			return nil, fmt.Errorf("regress %s: %w", name, err)
+		}
+		kind := string(cr.Gate)
+		switch {
+		case !ok && cr.Gate == Recorded:
+		case !ok:
+			kind, detail = "missing", "absent from fresh run"
+		case fr.Gate != cr.Gate:
+			kind, detail = "gate", fmt.Sprintf("fresh gate %q, committed %q", fr.Gate, cr.Gate)
 		}
 		if detail != "" {
 			out = append(out, Finding{name, cr.Name, kind, detail})
@@ -179,24 +187,12 @@ func Compare(name string, committed, fresh []byte) ([]Finding, error) {
 	return out, nil
 }
 
-// check applies committed record c to fresh record f (present says
-// whether the fresh artifact has it). A violation returns the finding's
-// check kind and a non-empty detail.
-func check(c, f Record, present bool) (kind, detail string, err error) {
-	switch c.Gate {
-	case Exact, Band, Min, Max, Recorded:
-	default:
-		return "", "", fmt.Errorf("record %s: unknown gate %q", c.Name, c.Gate)
-	}
-	switch {
-	case !present && c.Gate == Recorded:
-		return "", "", nil
-	case !present:
-		return "missing", "absent from fresh run", nil
-	case f.Gate != c.Gate:
-		return "gate", fmt.Sprintf("fresh gate %q, committed %q", f.Gate, c.Gate), nil
-	}
-	kind = string(c.Gate)
+// Check applies committed record c's gate and bound to the value of
+// fresh record f and returns a non-empty detail on a violation. It
+// compares neither the records' names nor their gates; Compare does
+// that for artifacts. An unknown gate is an error. The comparisons are
+// negated so that a NaN value violates every numeric gate.
+func Check(c, f Record) (detail string, err error) {
 	switch c.Gate {
 	case Exact:
 		if f.Text != c.Text {
@@ -205,17 +201,20 @@ func check(c, f Record, present bool) (kind, detail string, err error) {
 			detail = fmt.Sprintf("%v != committed %v", f.Value, c.Value)
 		}
 	case Band:
-		if math.Abs(f.Value-c.Value) > c.Bound*math.Abs(c.Value) {
+		if !(math.Abs(f.Value-c.Value) <= c.Bound*math.Abs(c.Value)) {
 			detail = fmt.Sprintf("%v outside ±%g of committed %v", f.Value, c.Bound, c.Value)
 		}
 	case Min:
-		if f.Value < c.Bound {
+		if !(f.Value >= c.Bound) {
 			detail = fmt.Sprintf("%v below floor %v (committed %v)", f.Value, c.Bound, c.Value)
 		}
 	case Max:
-		if f.Value > c.Bound {
+		if !(f.Value <= c.Bound) {
 			detail = fmt.Sprintf("%v above ceiling %v (committed %v)", f.Value, c.Bound, c.Value)
 		}
+	case Recorded:
+	default:
+		return "", fmt.Errorf("record %s: unknown gate %q", c.Name, c.Gate)
 	}
-	return kind, detail, nil
+	return detail, nil
 }

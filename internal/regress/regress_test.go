@@ -402,3 +402,20 @@ func TestSchemaMismatchAndErrors(t *testing.T) {
 		t.Error("unknown committed gate should error")
 	}
 }
+
+func TestCheckRejectsNaN(t *testing.T) {
+	nan := Record{Name: "x", Value: math.NaN()}
+	for _, c := range []Record{
+		{Name: "x", Gate: Exact, Value: 1},
+		{Name: "x", Gate: Band, Value: 1, Bound: 0.1},
+		{Name: "x", Gate: Min, Bound: 1},
+		{Name: "x", Gate: Max, Bound: 1},
+	} {
+		if detail, err := Check(c, nan); err != nil || detail == "" {
+			t.Errorf("%s gate passed NaN (detail %q, err %v)", c.Gate, detail, err)
+		}
+	}
+	if detail, err := Check(Record{Name: "x", Gate: Recorded}, nan); err != nil || detail != "" {
+		t.Errorf("recorded gate flagged NaN: %q, %v", detail, err)
+	}
+}

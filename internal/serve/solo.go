@@ -116,17 +116,9 @@ func runWorkload(eng *sim.Engine, fab *netsim.Fabric, spec Spec, note func(strin
 }
 
 // runChaos replays the chaos campaign exactly as `spidersim chaos`
-// configures it: the quick 1-day small center, or the 7-day full-scale
-// campaign with Full, with an optional day-count override.
+// configures it.
 func runChaos(spec Spec) *Report {
-	cfg := chaos.QuickConfig(spec.Seed)
-	if spec.Full {
-		cfg = chaos.DefaultConfig(spec.Seed)
-	}
-	if spec.Days > 0 {
-		cfg.Duration = sim.Time(spec.Days) * sim.Day
-	}
-	rep := chaos.Run(cfg)
+	rep := chaos.Run(chaos.CampaignConfig(spec.Seed, spec.Full, spec.Days))
 	return &Report{
 		Kind: spec.Kind, Key: spec.Key(), Seed: spec.Seed,
 		Fingerprint: fmt.Sprintf("%016x", rep.Fingerprint()),

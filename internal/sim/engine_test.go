@@ -395,11 +395,25 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestFromSeconds(t *testing.T) {
-	if FromSeconds(1.5) != 1500*Millisecond {
-		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
+	cases := []struct {
+		s    float64
+		want Time
+	}{
+		{1.5, 1500 * Millisecond},
+		{0, 0},
+		{-1, 0},
+		{-3, 0},
+		{math.NaN(), 0},
+		{math.Inf(-1), 0},
+		{math.Inf(1), MaxTime},
+		{9.2e9, 9_200_000_000 * Second},
+		{9.3e9, MaxTime},
+		{1e300, MaxTime},
 	}
-	if FromSeconds(-3) != 0 {
-		t.Fatal("negative seconds should clamp to 0")
+	for _, c := range cases {
+		if got := FromSeconds(c.s); got != c.want {
+			t.Errorf("FromSeconds(%g) = %d, want %d", c.s, int64(got), int64(c.want))
+		}
 	}
 }
 

@@ -39,12 +39,19 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 // FromSeconds converts a floating-point number of seconds to a Time.
-// Negative and non-finite inputs are clamped to zero.
+// Negative inputs, -Inf and NaN clamp to zero; inputs past MaxTime,
+// +Inf included, saturate at MaxTime.
 func FromSeconds(s float64) Time {
 	if !(s > 0) {
 		return 0
 	}
-	return Time(s * float64(Second))
+	ns := s * float64(Second)
+	// float64(MaxTime) rounds up to 2^63, the first value an int64
+	// cannot hold; converting it or anything larger is undefined.
+	if ns >= float64(MaxTime) {
+		return MaxTime
+	}
+	return Time(ns)
 }
 
 // String renders the time with an adaptive unit, e.g. "1.500ms".

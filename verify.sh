@@ -6,7 +6,8 @@
 # Stages (for the CI matrix; default runs everything):
 #   ./verify.sh build   — gofmt gate, build, vet
 #   ./verify.sh lint    — simlint invariant suite + suppression-debt gate
-#   ./verify.sh test    — shuffled full test run + determinism double-run
+#   ./verify.sh test    — shuffled full test run (which gates every paper
+#                         claim via TestPaperClaims) + determinism double-run
 #   ./verify.sh race    — race-mode runs of the concurrency-adjacent packages
 #   ./verify.sh fuzz    — 10 s of coverage-guided fuzzing of the event
 #                         engine against its reference model
@@ -49,7 +50,9 @@ stage_lint() {
 stage_test() {
 	set -x
 	# -shuffle=on randomizes test execution order so inter-test state
-	# coupling cannot hide behind a lucky default order.
+	# coupling cannot hide behind a lucky default order. The root
+	# package's TestPaperClaims runs every experiment registry row and
+	# gates the paper's claim on it.
 	go test -shuffle=on ./...
 	# Determinism double-run: the event-trace regression tests compare
 	# two in-process runs already; -count=2 additionally reruns each
